@@ -2,7 +2,8 @@
 //! `BENCH_kernels.json`.
 //!
 //! Covers the kernel layer this repo's training and ranking paths run
-//! on: the lane-blocked dot product, the allocation-free `*_into`
+//! on: the lane-blocked dot product and its eight-row batched form
+//! (`dot8`, the serving ranker's kernel), the allocation-free `*_into`
 //! vector ops, blocked matmul/transpose, select-based top-K, and the
 //! fused per-family KGE score kernels. `--quick` shrinks sizes and rep
 //! counts for CI smoke runs; `--out PATH` overrides the output
@@ -27,7 +28,7 @@
 use kgrec_bench::kernel_report::{parse_baseline, KernelEntry, KernelReport, KERNEL_BENCH_PATH};
 use kgrec_graph::{EntityId, RelationId};
 use kgrec_kge::{DistMult, KgeModel, TransE, TransH, TransR};
-use kgrec_linalg::{vector, Matrix};
+use kgrec_linalg::{simd, vector, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -72,6 +73,10 @@ fn measure(quick: bool) -> KernelReport {
     let b = filled(dim, 2);
     let mut out = vec![0.0f32; dim];
     report.push(time_kernel(&format!("dot/{dim}"), dim, reps, || vector::dot(&a, &b)));
+    let rows: Vec<Vec<f32>> = (0..simd::LANES as u64).map(|c| filled(dim, 10 + c)).collect();
+    report.push(time_kernel(&format!("dot8/{dim}"), dim * simd::LANES, reps, || {
+        simd::dot8(&a, std::array::from_fn(|c| rows[c].as_slice())).iter().sum()
+    }));
     report.push(time_kernel(&format!("add_into/{dim}"), dim, reps, || {
         vector::add_into(&a, &b, &mut out);
         out[0]

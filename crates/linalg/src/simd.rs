@@ -13,7 +13,7 @@
 //!   input lane only, so lane-blocking cannot reorder any floating-point
 //!   operation. These are unconditionally bit-identical to the scalar
 //!   loops they replace.
-//! * **Reductions** (`dot`) — summation order is observable in the
+//! * **Reductions** (`dot`, `dot8`) — summation order is observable in the
 //!   result. The default build keeps a **single sequential accumulator**
 //!   (the unroll removes bounds checks and loop overhead but adds
 //!   products in exactly the scalar order, so results stay bit-identical
@@ -22,6 +22,14 @@
 //!   by a fixed reduction tree: faster on wide cores, still deterministic
 //!   run-to-run, but **not** bit-identical to the scalar order — golden
 //!   transcripts are only valid with the feature off.
+//!
+//!   The batched `dot8` scores one query against [`LANES`] rows at once
+//!   with one accumulator per *row*, not per lane: each chain adds its
+//!   row's products in exactly `dot`'s sequential order, and the eight
+//!   independent chains hide the add latency a single `dot` is bound by.
+//!   Every output is therefore bitwise equal to `dot(x, ys[c])` in the
+//!   default build; under `fast-math` `dot8` calls `dot` per row, so the
+//!   equality holds there too.
 
 /// Lane width of every blocked kernel. Eight `f32`s fill one AVX2
 /// register (or two NEON registers), the widest unit portably available.
@@ -92,6 +100,43 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
         acc += a * b;
     }
     acc
+}
+
+/// `[dot(x, ys[0]), …, dot(x, ys[LANES - 1])]` in one pass over `x`.
+///
+/// Eight independent accumulator chains, one per row; chain `c` adds
+/// `x[i] * ys[c][i]` for ascending `i`, exactly [`dot`]'s order, so every
+/// output is bitwise equal to the single-row kernel.
+///
+/// # Panics
+/// Panics if any row's length differs from `x.len()`.
+#[cfg(not(feature = "fast-math"))]
+#[inline]
+pub fn dot8(x: &[f32], ys: [&[f32]; LANES]) -> [f32; LANES] {
+    let n = x.len();
+    for y in &ys {
+        assert_eq!(y.len(), n, "dot8: dimension mismatch");
+    }
+    // Re-slicing to `n` lets the optimizer drop every bounds check below.
+    let ys = ys.map(|y| &y[..n]);
+    let mut acc = [0.0f32; LANES];
+    for (i, &a) in x.iter().enumerate() {
+        for c in 0..LANES {
+            acc[c] += a * ys[c][i];
+        }
+    }
+    acc
+}
+
+/// [`dot`] once per row, so each output is bitwise equal to the relaxed
+/// single-row kernel.
+///
+/// # Panics
+/// Panics if any row's length differs from `x.len()`.
+#[cfg(feature = "fast-math")]
+#[inline]
+pub fn dot8(x: &[f32], ys: [&[f32]; LANES]) -> [f32; LANES] {
+    ys.map(|y| dot(x, y))
 }
 
 /// `y += alpha * x`, lane-blocked. Bit-identical to the scalar loop.
@@ -272,6 +317,27 @@ mod tests {
             let want: Vec<f32> = x.iter().map(|a| a * 0.21).collect();
             assert_eq!(bits(&scaled), bits(&want), "scale n={n}");
         }
+    }
+
+    #[test]
+    fn dot8_rows_bit_match_dot() {
+        for n in 0..35usize {
+            let x = awkward(n, 0.13);
+            let rows: Vec<Vec<f32>> = (0..LANES).map(|c| awkward(n, c as f32 - 3.5)).collect();
+            let got = dot8(&x, std::array::from_fn(|c| rows[c].as_slice()));
+            for (c, row) in rows.iter().enumerate() {
+                assert_eq!(got[c].to_bits(), dot(&x, row).to_bits(), "n={n} row={c}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn dot8_rejects_mismatched_lengths() {
+        let short = [1.0f32; 7];
+        let mut ys = [&[1.0f32; 8][..]; LANES];
+        ys[5] = &short;
+        dot8(&[1.0; 8], ys);
     }
 
     #[test]

@@ -325,6 +325,34 @@ pub fn top_k_into(x: &[f32], k: usize, idx: &mut Vec<usize>) {
     idx.sort_unstable_by(by_score_desc);
 }
 
+/// Streaming [`top_k_into`]: offers one `(score, val)` pair to a bounded
+/// best-first buffer held as parallel `keys`/`vals` vectors of at most
+/// `k` entries.
+///
+/// Pairs must be offered in ascending position order. Equal keys then
+/// rank by position, so offering every `(x[i], i)` for `i = 0..n`
+/// leaves `vals` equal to `top_k_into(x, k)` for finite scores. A NaN
+/// score ranks as `-inf`: below every finite score, ties by position.
+/// The buffer never grows past `k`, so with capacity `k` reserved up
+/// front this never allocates. `O(1)` for a rejected pair, `O(k)` for
+/// an accepted one.
+pub fn top_k_offer<T>(keys: &mut Vec<f32>, vals: &mut Vec<T>, k: usize, score: f32, val: T) {
+    let key = if score.is_nan() { f32::NEG_INFINITY } else { score };
+    if keys.len() >= k {
+        match keys.last() {
+            Some(&worst) if key > worst => {
+                keys.pop();
+                vals.pop();
+            }
+            _ => return,
+        }
+    }
+    // After every earlier pair with a key >= this one.
+    let at = keys.partition_point(|&s| s >= key);
+    keys.insert(at, key);
+    vals.insert(at, val);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,6 +530,22 @@ mod tests {
         assert_eq!(idx, vec![1, 2, 0]);
         assert!(top_k_indices(&[1.0, 2.0], 0).is_empty());
         assert!(top_k_indices(&[], 3).is_empty());
+    }
+
+    #[test]
+    fn top_k_offer_ranks_nan_as_neg_infinity_without_growing() {
+        let x = [f32::NAN, 1.0, f32::NEG_INFINITY, f32::NAN, 2.0, 1.0];
+        let (mut keys, mut vals) = (Vec::with_capacity(4), Vec::with_capacity(4));
+        for (i, &s) in x.iter().enumerate() {
+            top_k_offer(&mut keys, &mut vals, 4, s, i);
+            assert!(keys.len() <= 4 && keys.capacity() == 4, "buffer grew at i={i}");
+        }
+        // NaN ties with -inf and keeps position order below the finites.
+        assert_eq!(vals, vec![4, 1, 5, 0]);
+        keys.clear();
+        vals.clear();
+        top_k_offer(&mut keys, &mut vals, 0, 1.0, 0);
+        assert!(vals.is_empty(), "k = 0 keeps nothing");
     }
 
     #[test]

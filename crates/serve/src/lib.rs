@@ -14,9 +14,10 @@
 //!    order. Produces a bounded, deduplicated candidate set without
 //!    touching the embedding model.
 //! 2. **Exact ranking** ([`rank_candidates`]) — scores only the
-//!    candidates with the fused SIMD kernels from `kgrec_linalg`
-//!    (`axpy`/`dot` over KGE entity embeddings) and selects the top K
-//!    with the same select-based partial sort the batch evaluator uses.
+//!    candidates, eight at a time, with the lane-blocked kernels from
+//!    `kgrec_linalg` (`axpy`/`dot8` over KGE entity embeddings) and
+//!    keeps a bounded top K as the scores stream, in the same order the
+//!    batch evaluator's partial sort produces.
 //!
 //! Both stages write into a caller-owned [`ServeScratch`] arena and are
 //! allocation-free after warm-up; `kglint --src` rule SA008 pins that

@@ -13,13 +13,15 @@
 //! order, ascending reverse-adjacency lists, columnar transpose order)
 //! and every cap is a prefix truncation. Ranking ties break toward the
 //! earlier-inserted candidate, mirroring the "ties toward smaller index"
-//! rule of the batch evaluator's partial sort.
+//! rule of the batch evaluator's partial sort; a NaN score ranks as
+//! `-inf`, so it never displaces a finite one.
 
 use crate::index::ServeIndex;
 use crate::scratch::ServeScratch;
 use crate::server::ServeConfig;
 use kgrec_data::{InteractionMatrix, ItemId, UserId};
 use kgrec_kge::KgeModel;
+use kgrec_linalg::simd::{self, LANES};
 use kgrec_linalg::vector;
 
 /// Stage 1: fills `scratch.cand` with a bounded, deduplicated candidate
@@ -113,11 +115,15 @@ pub fn candidates_for(
 /// ranked top-`config.k` item ids into the scratch output buffer
 /// (readable via [`ServeScratch::top_k`]).
 ///
-/// The score is the fused-kernel dot product between the user profile —
-/// the mean of the KGE entity embeddings of the user's recent history —
-/// and the candidate item's entity embedding. Selection reuses the
-/// batch evaluator's select-based partial sort through
-/// [`vector::top_k_into`].
+/// The score is the dot product between the user profile — the mean of
+/// the KGE entity embeddings of the user's recent history — and the
+/// candidate item's entity embedding. One fused pass scores the
+/// candidates [`LANES`] at a time with [`simd::dot8`] (bitwise equal to
+/// one `dot` per candidate) and streams each score into a bounded top-k
+/// buffer ([`vector::top_k_offer`]): order is score descending, then
+/// candidate position ascending, with NaN ranked as `-inf`. For finite
+/// scores that is exactly the batch evaluator's [`vector::top_k_into`]
+/// order; no per-candidate score array is kept.
 pub fn rank_candidates(
     index: &ServeIndex,
     model: &dyn KgeModel,
@@ -127,24 +133,21 @@ pub fn rank_candidates(
     scratch: &mut ServeScratch,
 ) {
     debug_assert_eq!(scratch.profile.len(), model.dim(), "scratch sized for another model");
-    scratch.profile.fill(0.0);
-    let hist = interactions.items_of(user);
-    let recent = &hist[hist.len().saturating_sub(config.max_history)..];
-    for &h in recent {
-        vector::axpy(1.0, model.entity_embedding(index.entity_of(h)), &mut scratch.profile);
+    profile_into(index, model, interactions, user, config.max_history, &mut scratch.profile);
+    let ServeScratch { cand, scores, profile, out, .. } = scratch;
+    scores.clear();
+    out.clear();
+    let k = config.k;
+    let emb = |v: u32| model.entity_embedding(index.entity_of(ItemId(v)));
+    let mut blocks = cand.chunks_exact(LANES);
+    for block in &mut blocks {
+        let block_scores = simd::dot8(profile, std::array::from_fn(|c| emb(block[c])));
+        for (&s, &v) in block_scores.iter().zip(block) {
+            vector::top_k_offer(scores, out, k, s, ItemId(v));
+        }
     }
-    if !recent.is_empty() {
-        vector::scale(&mut scratch.profile, 1.0 / recent.len() as f32);
-    }
-    scratch.scores.clear();
-    for &v in &scratch.cand {
-        let emb = model.entity_embedding(index.entity_of(ItemId(v)));
-        scratch.scores.push(vector::dot(&scratch.profile, emb));
-    }
-    vector::top_k_into(&scratch.scores, config.k, &mut scratch.idx);
-    scratch.out.clear();
-    for &i in &scratch.idx {
-        scratch.out.push(ItemId(scratch.cand[i]));
+    for &v in blocks.remainder() {
+        vector::top_k_offer(scores, out, k, vector::dot(profile, emb(v)), ItemId(v));
     }
 }
 
@@ -161,6 +164,21 @@ pub fn serve_score(
     profile: &mut [f32],
     max_history: usize,
 ) -> f32 {
+    profile_into(index, model, interactions, user, max_history, profile);
+    vector::dot(profile, model.entity_embedding(index.entity_of(item)))
+}
+
+/// Writes the user profile into `profile`: the mean of the entity
+/// embeddings of the user's last `max_history` items, or zeros for a
+/// user without history.
+fn profile_into(
+    index: &ServeIndex,
+    model: &dyn KgeModel,
+    interactions: &InteractionMatrix,
+    user: UserId,
+    max_history: usize,
+    profile: &mut [f32],
+) {
     profile.fill(0.0);
     let hist = interactions.items_of(user);
     let recent = &hist[hist.len().saturating_sub(max_history)..];
@@ -170,5 +188,4 @@ pub fn serve_score(
     if !recent.is_empty() {
         vector::scale(profile, 1.0 / recent.len() as f32);
     }
-    vector::dot(profile, model.entity_embedding(index.entity_of(item)))
 }

@@ -19,17 +19,18 @@ use kgrec_data::ItemId;
 pub struct ServeScratch {
     /// Stage-1 output: candidate item ids, insertion order.
     pub(crate) cand: Vec<u32>,
-    /// Stage-2 per-candidate scores (parallel to `cand`).
+    /// Stage-2 selection keys, best first (at most `k`): the scores of
+    /// the items in `out`, position for position, with NaN stored as
+    /// `-inf`. Scores of rejected candidates are never kept.
     pub(crate) scores: Vec<f32>,
-    /// Stage-2 selected positions into `cand`.
-    pub(crate) idx: Vec<usize>,
     /// User profile vector (model dimension).
     pub(crate) profile: Vec<f32>,
     /// Generation-stamped dedup marks, one per item.
     pub(crate) seen: Vec<u64>,
     /// Current request generation for `seen`.
     pub(crate) epoch: u64,
-    /// Final ranked top-K item ids.
+    /// Final ranked top-K item ids; during stage 2, the running
+    /// selection parallel to `scores`.
     pub(crate) out: Vec<ItemId>,
 }
 
@@ -40,8 +41,7 @@ impl ServeScratch {
     pub fn new(num_items: usize, dim: usize, max_candidates: usize, k: usize) -> Self {
         Self {
             cand: Vec::with_capacity(max_candidates),
-            scores: Vec::with_capacity(max_candidates),
-            idx: Vec::with_capacity(max_candidates),
+            scores: Vec::with_capacity(k),
             profile: vec![0.0; dim],
             seen: vec![0; num_items],
             epoch: 0,

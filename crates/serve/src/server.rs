@@ -488,6 +488,84 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The slate `compute_fresh` must produce for `user`, given the
+    /// candidate set it left in `s`: candidates sorted by `serve_score`
+    /// descending (NaN as `-inf`), then by position, cut at `k`.
+    fn oracle_slate(server: &Server, user: UserId, s: &ServeScratch) -> Vec<ItemId> {
+        let state = Arc::clone(&server.model.read().unwrap());
+        let model = state.model.as_kge();
+        let interactions = server.interactions();
+        let mut profile = vec![0.0f32; model.dim()];
+        let mut scored: Vec<(f32, usize)> = (s.cand.iter().enumerate())
+            .map(|(pos, &v)| {
+                let score = serve_score(
+                    server.index(),
+                    model,
+                    &interactions,
+                    user,
+                    ItemId(v),
+                    &mut profile,
+                    server.config().max_history,
+                );
+                (if score.is_nan() { f32::NEG_INFINITY } else { score }, pos)
+            })
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        scored.iter().take(server.config().k).map(|&(_, pos)| ItemId(s.cand[pos])).collect()
+    }
+
+    #[test]
+    fn fresh_slate_equals_serve_score_oracle_for_every_user() {
+        let server = tiny_server(19, ServeConfig::default());
+        let mut s = server.make_scratch();
+        for u in 0..server.num_users() as u32 {
+            server.compute_fresh(UserId(u), &mut s);
+            assert_eq!(s.top_k(), &oracle_slate(&server, UserId(u), &s)[..], "u{u}");
+        }
+    }
+
+    #[test]
+    fn nan_item_never_displaces_a_finite_candidate() {
+        // tiny has 60 items, so every unseen item is a candidate: k = 60
+        // puts the NaN item on every slate, k = 10 gives it finite
+        // competition to lose to.
+        for k in [10, 60] {
+            let synth = generate(&ScenarioConfig::tiny(), 23);
+            let (ne, nr) =
+                (synth.dataset.graph.num_entities(), synth.dataset.graph.num_relations());
+            // Poison the most popular item: users holding it in their
+            // history never see it as a candidate.
+            let hot = ItemId(popularity_order(&synth.dataset.interactions)[0]);
+            let mut rng = StdRng::seed_from_u64(24);
+            let mut model = TransE::new(&mut rng, ne, nr, 8, 1.0);
+            model.entity_row_add(synth.dataset.item_entities[hot.index()], &[f32::NAN; 8]);
+            let config = ServeConfig { k, ..ServeConfig::default() };
+            let server = Server::new(synth.dataset, Box::new(model), config);
+            let interactions = server.interactions();
+            let mut s = server.make_scratch();
+            let mut ranked_against_finite = 0;
+            for u in 0..server.num_users() as u32 {
+                let user = UserId(u);
+                server.compute_fresh(user, &mut s);
+                assert_eq!(s.top_k(), &oracle_slate(&server, user, &s)[..], "u{u}");
+                if interactions.contains(user, hot) || !s.cand.contains(&hot.0) {
+                    continue;
+                }
+                ranked_against_finite += 1;
+                // Every finite candidate the slate has room for is on it,
+                // ahead of the NaN item.
+                let finite = s.cand.len() - 1;
+                let slate = s.top_k();
+                assert_eq!(slate.len(), s.cand.len().min(server.config().k), "u{u}");
+                match slate.iter().position(|&v| v == hot) {
+                    Some(at) => assert_eq!(at, finite, "u{u}: NaN item ranked above a finite one"),
+                    None => assert!(finite >= slate.len(), "u{u}: NaN item dropped for nothing"),
+                }
+            }
+            assert!(ranked_against_finite > 0, "no user ranked the NaN item");
+        }
+    }
+
     fn fresh_model_shape(ne: usize, nr: usize, seed: u64) -> Box<dyn ServedModel> {
         let mut rng = StdRng::seed_from_u64(seed);
         Box::new(TransE::new(&mut rng, ne, nr, 8, 1.0))

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== kgbench unit tests (traced serving path == Server::serve)"
+# kgbench is a package of its own, outside the workspace, so the line
+# above does not reach it. Its mirror test is the oracle that the traced
+# stages still rebuild Server::serve.
+cargo test --manifest-path kgbench/Cargo.toml -q
+
 echo "== kglint --strict (all synthetic scenarios)"
 cargo run --release -p kgrec-check --bin kglint -- --strict --json-out kglint_bundle.json
 test -s kglint_bundle.json || { echo "FAIL: kglint_bundle.json missing"; exit 1; }

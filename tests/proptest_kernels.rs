@@ -18,7 +18,7 @@
 use kgrec_graph::KgBuilder;
 use kgrec_kge::trainer::{corrupt, train, TrainConfig};
 use kgrec_kge::{DistMult, GradBatch, KgeModel, TransE, TransR};
-use kgrec_linalg::{vector, Activation, Dense, Matrix};
+use kgrec_linalg::{simd, vector, Activation, Dense, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,6 +143,50 @@ proptest! {
         // Heavy ties on purpose: the select path must keep the
         // tie-break-by-index order of the full sort exactly.
         prop_assert_eq!(vector::top_k_indices(&xs, k), top_k_by_full_sort(&xs, k));
+    }
+
+    #[test]
+    fn dot8_rows_match_dot(
+        (x, rows) in (0usize..68).prop_flat_map(|n| {
+            (arb_vec(n), prop::collection::vec(arb_vec(n), simd::LANES))
+        }),
+    ) {
+        // Lengths 0..=67 cover every remainder mod 8 around the blocks.
+        let got = simd::dot8(&x, std::array::from_fn(|c| rows[c].as_slice()));
+        for (c, row) in rows.iter().enumerate() {
+            prop_assert_eq!(got[c].to_bits(), simd::dot(&x, row).to_bits(), "row {}", c);
+        }
+    }
+
+    #[test]
+    fn streaming_top_k_matches_select(
+        xs in prop::collection::vec(
+            (0u8..10, -3.0f32..3.0).prop_map(|(sel, v)| match sel {
+                0..=2 => 1.0,
+                3 => 0.0,
+                4 => -0.0,
+                5 | 6 => -1.0,
+                _ => v,
+            }),
+            0..50,
+        ),
+        k_sel in 0u8..4,
+        k_any in 0usize..55,
+    ) {
+        // Heavy ties, ±0.0, and the k == 1 / k == n / k > n edges.
+        let k = match k_sel {
+            0 => 1,
+            1 => xs.len(),
+            2 => xs.len() + 3,
+            _ => k_any,
+        };
+        let (mut keys, mut vals) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        for (i, &s) in xs.iter().enumerate() {
+            vector::top_k_offer(&mut keys, &mut vals, k, s, i);
+        }
+        let mut want = Vec::new();
+        vector::top_k_into(&xs, k, &mut want);
+        prop_assert_eq!(vals, want);
     }
 
     #[test]
