@@ -4,8 +4,9 @@
 //! Covers the kernel layer this repo's training and ranking paths run
 //! on: the lane-blocked dot product and its eight-row batched form
 //! (`dot8`, the serving ranker's kernel), the allocation-free `*_into`
-//! vector ops, blocked matmul/transpose, select-based top-K, and the
-//! fused per-family KGE score kernels. `--quick` shrinks sizes and rep
+//! vector ops, blocked matmul/transpose, the three `Dense` training
+//! kernels at SHINE's shapes, select-based top-K, and the fused
+//! per-family KGE score kernels. `--quick` shrinks sizes and rep
 //! counts for CI smoke runs; `--out PATH` overrides the output
 //! location.
 //!
@@ -15,10 +16,12 @@
 //! is reported — the minimum is the standard noise-robust statistic for
 //! microbenchmarks, since interference only ever adds time.
 //!
-//! `--baseline PATH` turns the run into a regression gate: fresh ns/op
-//! is compared against the committed baseline (normally
-//! `BENCH_kernels.baseline.json`) and the process exits non-zero when
-//! any kernel lands more than 20% above it. A tripped gate re-measures
+//! `--baseline PATH` turns the run into a regression gate against the
+//! committed baseline (normally `BENCH_kernels.baseline.json`). The
+//! process exits non-zero when any kernel's checksum differs from its
+//! baseline row (its output drifted; checksums are deterministic, so
+//! this fails at once, without re-measuring), or when any kernel lands
+//! more than 20% above its baseline ns/op. A tripped timing gate re-measures
 //! the whole pass up to twice, merging per-kernel minima, before
 //! failing: back-to-back rounds share one scheduler-noise window, but a
 //! full re-pass lands in a fresh one, so only a genuine slowdown
@@ -28,7 +31,7 @@
 use kgrec_bench::kernel_report::{parse_baseline, KernelEntry, KernelReport, KERNEL_BENCH_PATH};
 use kgrec_graph::{EntityId, RelationId};
 use kgrec_kge::{DistMult, KgeModel, TransE, TransH, TransR};
-use kgrec_linalg::{simd, vector, Matrix};
+use kgrec_linalg::{simd, vector, Activation, Dense, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -119,6 +122,56 @@ fn measure(quick: bool) -> KernelReport {
         y[0]
     }));
 
+    // --- Dense training kernels, at SHINE's shapes ---
+    // Decoder 16 -> 658 (forward, fused dense backward + step) and encoder
+    // 658 -> 16 over a 5-column sparse input (fused sparse backward +
+    // step). Identity activation keeps libm out of every checksum; the
+    // upstream gradient flips sign each rep so the weights the steps
+    // train stay bounded however many reps run.
+    let (dim_h, width) = (16, 658);
+    let mut rng = StdRng::seed_from_u64(8);
+    let hidden = filled(dim_h, 9);
+    let mut decoder = Dense::new(&mut rng, dim_h, width, Activation::Identity);
+    report.push(time_kernel(
+        &format!("dense_fwd/{dim_h}x{width}"),
+        dim_h * width,
+        mat_reps,
+        || {
+            let y = decoder.forward(&hidden);
+            y[0] + y[width - 1]
+        },
+    ));
+    let dl = filled(width, 11);
+    let neg_dl: Vec<f32> = dl.iter().map(|g| -g).collect();
+    let mut flip = false;
+    report.push(time_kernel(
+        &format!("dense_bwd_step/{dim_h}x{width}"),
+        dim_h * width,
+        mat_reps,
+        || {
+            flip = !flip;
+            let dx = decoder.backward_step_sgd(if flip { &dl } else { &neg_dl }, 0.015, 0.0);
+            dx.iter().sum()
+        },
+    ));
+    let mut encoder = Dense::new(&mut rng, width, dim_h, Activation::Identity);
+    let active = [3usize, 70, 222, 401, 650];
+    let _ = encoder.forward_sparse(&active);
+    let dh = filled(dim_h, 12);
+    let neg_dh: Vec<f32> = dh.iter().map(|g| -g).collect();
+    let mut flip = false;
+    report.push(time_kernel(
+        &format!("dense_sparse_bwd_step/{width}x{dim_h}"),
+        width * dim_h,
+        mat_reps,
+        || {
+            flip = !flip;
+            encoder.backward_sparse_step_sgd(if flip { &dh } else { &neg_dh }, 0.05, 1e-5);
+            let w = encoder.weights();
+            w.get(0, active[0]) + w.get(dim_h - 1, 1) + encoder.bias()[0]
+        },
+    ));
+
     // --- Ranking kernel ---
     let scores = filled(if quick { 512 } else { 4096 }, 6);
     let k = 10;
@@ -181,9 +234,12 @@ fn main() {
             .unwrap_or_else(|e| panic!("reading kernel baseline {path}: {e}"));
         let baseline = parse_baseline(&doc);
         assert!(!baseline.is_empty(), "kernel baseline {path} holds no kernels");
+        // Checksums are deterministic: a mismatch is drift, not noise, so
+        // it fails the gate at once and is never re-measured.
+        let drifted = report.checksum_mismatches(&baseline);
         let mut regressions = report.regressions_against(&baseline, 1.2, 0.5);
         for attempt in 0..2 {
-            if regressions.is_empty() {
+            if regressions.is_empty() || !drifted.is_empty() {
                 break;
             }
             eprintln!(
@@ -197,41 +253,56 @@ fn main() {
         }
         println!("kernel gate: comparing {} kernels against {path}", baseline.len());
         for e in &report.entries {
-            if let Some((_, base)) = baseline.iter().find(|(name, _)| *name == e.name) {
+            if let Some(base) = baseline.iter().find(|b| b.name == e.name) {
                 println!(
-                    "  {:<24} {:>12.1} ns/op  baseline {:>10.1}  ({:+.1}%)",
+                    "  {:<28} {:>12.1} ns/op  baseline {:>10.1}  ({:+.1}%)",
                     e.name,
                     e.ns_per_op,
-                    base,
-                    (e.ns_per_op / base - 1.0) * 100.0
+                    base.ns_per_op,
+                    (e.ns_per_op / base.ns_per_op - 1.0) * 100.0
                 );
             }
         }
-        if regressions.is_empty() {
-            println!("kernel gate: OK (every kernel within 20% of baseline)");
-        } else {
-            for r in &regressions {
-                eprintln!(
-                    "kernel gate: REGRESSION {} — {:.1} ns/op vs baseline {:.1} ({:.2}x)",
-                    r.name,
-                    r.fresh_ns,
-                    r.baseline_ns,
-                    r.ratio()
-                );
-            }
+        for m in &drifted {
+            eprintln!(
+                "kernel gate: OUTPUT DRIFT {} — checksum {} vs baseline {}",
+                m.name, m.fresh, m.baseline
+            );
+        }
+        for r in &regressions {
+            eprintln!(
+                "kernel gate: REGRESSION {} — {:.1} ns/op vs baseline {:.1} ({:.2}x)",
+                r.name,
+                r.fresh_ns,
+                r.baseline_ns,
+                r.ratio()
+            );
+        }
+        if !drifted.is_empty() {
+            eprintln!(
+                "kernel gate: {} kernel(s) changed their output; a kernel rewrite must stay \
+                 bit-identical, or refresh with `kernel_bench --quick --out {path}` for an \
+                 intended change",
+                drifted.len()
+            );
+        } else if !regressions.is_empty() {
             eprintln!(
                 "kernel gate: {} kernel(s) regressed >20% across three passes; refresh with \
                  `kernel_bench --quick --out {path}` only for intentional changes",
                 regressions.len()
             );
-            gate_failed = true;
+        } else {
+            println!(
+                "kernel gate: OK (every checksum matches, every kernel within 20% of baseline)"
+            );
         }
+        gate_failed = !drifted.is_empty() || !regressions.is_empty();
     }
 
     report.write_to(std::path::Path::new(out_path)).expect("writing kernel report");
     println!("kernel_bench: {} kernels -> {out_path}", report.entries.len());
     for e in &report.entries {
-        println!("  {:<24} {:>12.1} ns/op  ({} reps)", e.name, e.ns_per_op, e.reps);
+        println!("  {:<28} {:>12.1} ns/op  ({} reps)", e.name, e.ns_per_op, e.reps);
     }
     if gate_failed {
         std::process::exit(1);

@@ -9,9 +9,9 @@
 //! flat JSON as `bench_report` — the workspace is dependency-free.
 //!
 //! Timings are wall-clock and machine-dependent; the `checksum` field is
-//! deterministic per kernel and exists to keep the optimizer from
-//! deleting the measured work (and doubles as a cheap cross-run sanity
-//! value).
+//! deterministic per kernel. It keeps the optimizer from deleting the
+//! measured work, and the baseline gate compares it exactly, so a kernel
+//! whose output drifts fails the gate however fast it runs.
 
 use crate::bench_report::{json_f64, json_str};
 use std::io::Write;
@@ -106,14 +106,14 @@ impl KernelReport {
     /// kernel is a baseline-refresh event, not a regression.
     pub fn regressions_against(
         &self,
-        baseline: &[(String, f64)],
+        baseline: &[BaselineRow],
         max_ratio: f64,
         slack_ns: f64,
     ) -> Vec<KernelRegression> {
         self.entries
             .iter()
             .filter_map(|e| {
-                let base = baseline.iter().find(|(name, _)| *name == e.name)?.1;
+                let base = baseline.iter().find(|b| b.name == e.name)?.ns_per_op;
                 (e.ns_per_op > base * max_ratio + slack_ns).then(|| KernelRegression {
                     name: e.name.clone(),
                     baseline_ns: base,
@@ -122,6 +122,48 @@ impl KernelReport {
             })
             .collect()
     }
+
+    /// Every kernel whose fresh checksum, rendered as the report writes
+    /// it, differs from its baseline row's: the kernel's output drifted.
+    /// Checksums are deterministic, so a mismatch is never timing noise
+    /// and re-measuring cannot clear it. Rows without a checksum, and
+    /// kernels present only on one side, are ignored.
+    pub fn checksum_mismatches(&self, baseline: &[BaselineRow]) -> Vec<ChecksumMismatch> {
+        self.entries
+            .iter()
+            .filter_map(|e| {
+                let want = baseline.iter().find(|b| b.name == e.name)?.checksum.as_ref()?;
+                let got = json_f64(e.checksum);
+                (got != *want).then(|| ChecksumMismatch {
+                    name: e.name.clone(),
+                    baseline: want.clone(),
+                    fresh: got,
+                })
+            })
+            .collect()
+    }
+}
+
+/// One kernel row of a committed baseline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BaselineRow {
+    /// Kernel name.
+    pub name: String,
+    /// Baseline nanoseconds per op.
+    pub ns_per_op: f64,
+    /// The `checksum` field exactly as written (`None` when absent).
+    pub checksum: Option<String>,
+}
+
+/// One kernel whose fresh checksum differs from its baseline row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChecksumMismatch {
+    /// Kernel name.
+    pub name: String,
+    /// Checksum recorded in the baseline.
+    pub baseline: String,
+    /// Checksum of the fresh run, rendered as the report writes it.
+    pub fresh: String,
 }
 
 /// One kernel whose fresh timing exceeded the regression gate.
@@ -146,26 +188,35 @@ impl KernelRegression {
     }
 }
 
-/// Extracts `(kernel name, ns_per_op)` pairs from a report previously
-/// written by [`KernelReport::to_json`].
+/// Extracts one [`BaselineRow`] per kernel (name, `ns_per_op` and
+/// `checksum`) from a report previously written by
+/// [`KernelReport::to_json`].
 ///
 /// This reads the writer's own one-kernel-per-line layout — it is a
 /// baseline loader, not a general JSON parser (the workspace is
 /// dependency-free by constraint). Lines that don't look like kernel
 /// entries, and entries whose `ns_per_op` was serialized as `null`, are
 /// skipped.
-pub fn parse_baseline(json: &str) -> Vec<(String, f64)> {
+pub fn parse_baseline(json: &str) -> Vec<BaselineRow> {
+    /// The raw text of `"field": value` on one entry line.
+    fn field<'a>(rest: &'a str, field: &str) -> Option<&'a str> {
+        let val = rest.split(&format!("\"{field}\": ")).nth(1)?;
+        Some(val.split([',', '}']).next().unwrap_or("").trim())
+    }
     let mut out = Vec::new();
     for line in json.lines() {
         let line = line.trim();
         let Some(rest) = line.strip_prefix("{\"kernel\": \"") else { continue };
         let Some(end) = rest.find('"') else { continue };
-        let name = &rest[..end];
-        let Some(val) = rest[end..].split("\"ns_per_op\": ").nth(1) else { continue };
-        let val = val.split([',', '}']).next().unwrap_or("").trim();
-        if let Ok(ns) = val.parse::<f64>() {
-            out.push((name.to_owned(), ns));
-        }
+        let rest_fields = &rest[end..];
+        let Some(Ok(ns)) = field(rest_fields, "ns_per_op").map(str::parse::<f64>) else {
+            continue;
+        };
+        out.push(BaselineRow {
+            name: rest[..end].to_owned(),
+            ns_per_op: ns,
+            checksum: field(rest_fields, "checksum").map(str::to_owned),
+        });
     }
     out
 }
@@ -204,9 +255,10 @@ mod tests {
         r.push(KernelEntry::new("matmul/24x48x24", 27648, 20, 0.004, 2.0));
         let base = parse_baseline(&r.to_json());
         assert_eq!(base.len(), 2);
-        assert_eq!(base[0].0, "dot/64");
-        assert!((base[0].1 - r.entries[0].ns_per_op).abs() < 1e-3);
-        assert_eq!(base[1].0, "matmul/24x48x24");
+        assert_eq!(base[0].name, "dot/64");
+        assert!((base[0].ns_per_op - r.entries[0].ns_per_op).abs() < 1e-3);
+        assert_eq!(base[0].checksum.as_deref(), Some("1.000000"));
+        assert_eq!(base[1].name, "matmul/24x48x24");
     }
 
     #[test]
@@ -217,12 +269,24 @@ mod tests {
                    {\"kernel\": \"b\", \"n\": 1, \"reps\": 1, \"total_secs\": 0.1, \
                    \"ns_per_op\": 5.25, \"checksum\": 0.0}\n  ]\n}\n";
         let base = parse_baseline(doc);
-        assert_eq!(base, vec![("b".to_owned(), 5.25)]);
+        assert_eq!(
+            base,
+            vec![BaselineRow {
+                name: "b".to_owned(),
+                ns_per_op: 5.25,
+                checksum: Some("0.0".to_owned())
+            }]
+        );
     }
 
     #[test]
     fn gate_flags_only_true_regressions() {
-        let base = vec![("dot/64".to_owned(), 100.0), ("axpy/64".to_owned(), 0.4)];
+        let row = |name: &str, ns_per_op| BaselineRow {
+            name: name.to_owned(),
+            ns_per_op,
+            checksum: None,
+        };
+        let base = vec![row("dot/64", 100.0), row("axpy/64", 0.4)];
         let mut fresh = KernelReport::new(true);
         // 1.30x the baseline: past the 20% gate.
         fresh.push(KernelEntry::new("dot/64", 64, 1000, 130.0e-9 * 1000.0, 0.0));
@@ -238,6 +302,38 @@ mod tests {
         let mut ok = KernelReport::new(true);
         ok.push(KernelEntry::new("dot/64", 64, 1000, 110.0e-9 * 1000.0, 0.0));
         assert!(ok.regressions_against(&base, 1.2, 0.5).is_empty());
+    }
+
+    #[test]
+    fn gate_flags_checksum_drift() {
+        let mut base_report = KernelReport::new(true);
+        base_report.push(KernelEntry::new("dot/64", 64, 1000, 0.001, -101878.669671));
+        base_report.push(KernelEntry::new("axpy/64", 64, 1000, 0.001, 12175.511388));
+        base_report.push(KernelEntry::new("nan/8", 8, 1000, 0.001, f64::NAN));
+        let base = parse_baseline(&base_report.to_json());
+        let mut fresh = KernelReport::new(true);
+        // Same output, much faster: a timing change is no drift.
+        fresh.push(KernelEntry::new("dot/64", 64, 1000, 0.0001, -101878.669671));
+        // Last printed digit moved: drift.
+        fresh.push(KernelEntry::new("axpy/64", 64, 1000, 0.001, 12175.511389));
+        // `null` on both sides matches.
+        fresh.push(KernelEntry::new("nan/8", 8, 1000, 0.001, f64::INFINITY));
+        // Unknown kernel: a baseline-refresh event, not drift.
+        fresh.push(KernelEntry::new("new_kernel/8", 8, 1000, 0.001, 1.0));
+        assert_eq!(
+            fresh.checksum_mismatches(&base),
+            vec![ChecksumMismatch {
+                name: "axpy/64".to_owned(),
+                baseline: "12175.511388".to_owned(),
+                fresh: "12175.511389".to_owned(),
+            }]
+        );
+        // A row written without a checksum field is never compared.
+        let legacy = parse_baseline(
+            "    {\"kernel\": \"axpy/64\", \"n\": 64, \"reps\": 1, \"ns_per_op\": 43.8}\n",
+        );
+        assert_eq!(legacy[0].checksum, None);
+        assert!(fresh.checksum_mismatches(&legacy).is_empty());
     }
 
     #[test]

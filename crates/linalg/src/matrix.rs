@@ -5,6 +5,7 @@
 //! kernels here are exactly the ones the hand-written backward passes need:
 //! `A·x`, `Aᵀ·x`, rank-1 updates (`A += α·x·yᵀ`) and outer products.
 
+use crate::simd::{self, LANES};
 use crate::vector;
 
 /// Cache-block edge for the `matmul` k-dimension: one block of B rows
@@ -118,11 +119,22 @@ impl Matrix {
     }
 
     /// `y = A·x` written into a caller-owned buffer (`y.len() == rows`).
+    ///
+    /// Rows are scored [`LANES`] at a time with [`simd::dot8`], whose
+    /// per-row chains add in [`vector::dot`]'s order, so every output is
+    /// bitwise equal to `dot(row, x)` (under `fast-math` too); the
+    /// remainder rows take `dot` directly.
     pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec: output dimension mismatch");
-        for r in 0..self.rows {
-            y[r] = vector::dot(self.row(r), x);
+        let blocked = self.rows - self.rows % LANES;
+        let (yb, yr) = y.split_at_mut(blocked);
+        for (b, out) in yb.chunks_exact_mut(LANES).enumerate() {
+            let r0 = b * LANES;
+            out.copy_from_slice(&simd::dot8(x, std::array::from_fn(|c| self.row(r0 + c))));
+        }
+        for (r, out) in (blocked..).zip(yr) {
+            *out = vector::dot(self.row(r), x);
         }
     }
 
@@ -344,6 +356,20 @@ mod tests {
         let mut yt = vec![7.0f32; 9];
         a.matvec_t_into(&xr, &mut yt);
         assert_eq!(yt, a.matvec_t(&xr));
+    }
+
+    #[test]
+    fn matvec_into_bit_matches_per_row_dot() {
+        // 0..=25 rows cover every remainder mod 8 around the dot8 blocks.
+        for rows in 0..26 {
+            let a = filled(rows, 19, -0.6);
+            let x: Vec<f32> = (0..19).map(|i| 1.3 - i as f32 * 0.11).collect();
+            let mut y = vec![f32::NAN; rows];
+            a.matvec_into(&x, &mut y);
+            for (r, got) in y.iter().enumerate() {
+                assert_eq!(got.to_bits(), vector::dot(a.row(r), &x).to_bits(), "rows={rows} r={r}");
+            }
+        }
     }
 
     #[test]

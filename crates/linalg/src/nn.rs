@@ -91,6 +91,10 @@ pub struct Dense {
     last_active: Vec<usize>,
     last_pre: Vec<f32>,
     last_y: Vec<f32>,
+    // Reused scratch of the fused backward kernels: `dL/dpre` per output,
+    // and one row's active weights saved before the decay sweep.
+    dpre: Vec<f32>,
+    saved: Vec<f32>,
 }
 
 impl Dense {
@@ -108,6 +112,8 @@ impl Dense {
             last_active: Vec::new(),
             last_pre: Vec::new(),
             last_y: Vec::new(),
+            dpre: Vec::new(),
+            saved: Vec::new(),
         }
     }
 
@@ -142,18 +148,19 @@ impl Dense {
     }
 
     /// Runs the layer forward, caching the activations for `backward`.
+    ///
+    /// The pre-activation and output are written straight into the cached
+    /// buffers (reused across calls); only the returned copy allocates.
     pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.w.cols(), "Dense::forward: input dim mismatch");
-        let mut pre = self.w.matvec(x);
-        vector::axpy(1.0, &self.b, &mut pre);
-        let mut y = pre.clone();
-        self.act.apply_slice(&mut y);
+        self.last_pre.resize(self.w.rows(), 0.0);
+        self.w.matvec_into(x, &mut self.last_pre);
+        vector::axpy(1.0, &self.b, &mut self.last_pre);
+        self.cache_output();
         self.last_x.clear();
         self.last_x.extend_from_slice(x);
         self.last_active.clear();
-        self.last_pre = pre;
-        self.last_y = y.clone();
-        y
+        self.last_y.clone()
     }
 
     /// Forward pass for a *binary* input vector given as the ascending list
@@ -161,23 +168,27 @@ impl Dense {
     /// multiplications by `0.0`, so the result matches `forward` on the
     /// equivalent dense 0/1 vector. Caches state for [`Self::backward_sparse`].
     pub fn forward_sparse(&mut self, active: &[usize]) -> Vec<f32> {
-        let mut pre = vec![0.0f32; self.w.rows()];
-        for (k, p) in pre.iter_mut().enumerate() {
+        self.last_pre.clear();
+        for (k, &b) in self.b.iter().enumerate() {
             let row = self.w.row(k);
             let mut acc = 0.0f32;
             for &j in active {
                 acc += row[j];
             }
-            *p = acc + self.b[k];
+            self.last_pre.push(acc + b);
         }
-        let mut y = pre.clone();
-        self.act.apply_slice(&mut y);
+        self.cache_output();
         self.last_x.clear();
         self.last_active.clear();
         self.last_active.extend_from_slice(active);
-        self.last_pre = pre;
-        self.last_y = y.clone();
-        y
+        self.last_y.clone()
+    }
+
+    /// `last_y = f(last_pre)`, reusing the cached buffer.
+    fn cache_output(&mut self) {
+        self.last_y.clear();
+        self.last_y.extend_from_slice(&self.last_pre);
+        self.act.apply_slice(&mut self.last_y);
     }
 
     /// Pure sparse inference: `infer` on a binary vector with the given
@@ -230,6 +241,12 @@ impl Dense {
     /// matrix. Returns `dl_dx`, computed against the pre-step weights
     /// exactly as the unfused pair does.
     ///
+    /// `Wᵀ·dpre` is folded into the same sweep: row `r` first adds
+    /// `dpre[r]·w[r][j]` into `dl_dx[j]` with the weight it had *before*
+    /// the step, then steps it. Rows ascend, so every `dl_dx[j]` sums its
+    /// terms in [`Matrix::matvec_t_into`]'s order and the weights are read
+    /// once instead of twice.
+    ///
     /// Bit-identical to `backward` followed by `step_sgd` *only* from the
     /// cleared-gradient state every `step_sgd`/`zero_grad` leaves behind:
     /// the per-weight update replays the accumulate-then-step arithmetic
@@ -246,29 +263,36 @@ impl Dense {
             self.gw.data().iter().chain(self.gb.iter()).all(|&g| g == 0.0 && g.is_sign_positive()),
             "Dense::backward_step_sgd: accumulated gradients must be clear"
         );
-        let mut dpre = vec![0.0f32; dl_dy.len()];
-        for i in 0..dl_dy.len() {
-            dpre[i] = dl_dy[i] * self.act.derivative(self.last_pre[i], self.last_y[i]);
-        }
-        let dl_dx = self.w.matvec_t(&dpre);
+        self.fill_dpre(dl_dy);
         let cols = self.w.cols();
-        for (r, &d) in dpre.iter().enumerate() {
-            let wrow = &mut self.w.data_mut()[r * cols..(r + 1) * cols];
-            for (wj, &xj) in wrow.iter_mut().zip(&self.last_x) {
-                let g = 0.0 + d * xj;
-                *wj -= lr * (g + l2 * *wj);
+        let mut dl_dx = vec![0.0f32; cols];
+        // `max(1)`: a zero-input layer has no weight rows, only a bias.
+        for (wrow, &d) in self.w.data_mut().chunks_exact_mut(cols.max(1)).zip(&self.dpre) {
+            for ((wj, gx), &xj) in wrow.iter_mut().zip(dl_dx.iter_mut()).zip(&self.last_x) {
+                *gx += d * *wj;
+                *wj -= lr * ((0.0 + d * xj) + l2 * *wj);
             }
-            self.b[r] -= lr * (0.0 + d);
+        }
+        for (b, &d) in self.b.iter_mut().zip(&self.dpre) {
+            *b -= lr * (0.0 + d);
         }
         dl_dx
     }
 
-    /// Fused [`Self::backward_sparse`] + [`Self::step_sgd`]: one sweep of
-    /// the weights applies the sparse-input gradient (active columns only)
-    /// and the dense L2 decay (every column), without touching the
-    /// gradient matrix. Bit-identical to the unfused pair from the
-    /// cleared-gradient state; the cached active list must be ascending
-    /// and duplicate-free, as [`Self::forward_sparse`] requires.
+    /// Fused [`Self::backward_sparse`] + [`Self::step_sgd`]: applies the
+    /// sparse-input gradient (active columns only) and the dense L2 decay
+    /// (every column) without touching the gradient matrix. Bit-identical
+    /// to the unfused pair from the cleared-gradient state.
+    ///
+    /// Each row takes a branch-free decay sweep and a short fix-up: the
+    /// active weights are saved first, every column then takes the
+    /// zero-gradient update `w -= lr·(0.0 + l2·w)` (a loop the compiler
+    /// vectorises), and each active column is rewritten from its saved
+    /// value `s` as `s - lr·((0.0 + dpre) + l2·s)` — the exact value the
+    /// per-element update would have produced. The literal `0.0 +` terms
+    /// replay the accumulator's `±0.0` canonicalisation. The cached active
+    /// list must be strictly ascending, as [`Self::forward_sparse`]
+    /// requires.
     ///
     /// # Panics
     /// Panics if `forward_sparse` has not been called or dimensions disagree.
@@ -280,22 +304,37 @@ impl Dense {
             self.gw.data().iter().chain(self.gb.iter()).all(|&g| g == 0.0 && g.is_sign_positive()),
             "Dense::backward_sparse_step_sgd: accumulated gradients must be clear"
         );
+        debug_assert!(
+            self.last_active.windows(2).all(|p| p[0] < p[1]),
+            "Dense::backward_sparse_step_sgd: active list must be strictly ascending"
+        );
+        self.fill_dpre(dl_dy);
         let cols = self.w.cols();
-        for k in 0..dl_dy.len() {
-            let dpre = dl_dy[k] * self.act.derivative(self.last_pre[k], self.last_y[k]);
-            let wrow = &mut self.w.data_mut()[k * cols..(k + 1) * cols];
-            let mut cursor = 0usize;
-            for (j, wj) in wrow.iter_mut().enumerate() {
-                let g = if cursor < self.last_active.len() && self.last_active[cursor] == j {
-                    cursor += 1;
-                    0.0 + dpre
-                } else {
-                    0.0
-                };
-                *wj -= lr * (g + l2 * *wj);
+        for (wrow, &d) in self.w.data_mut().chunks_exact_mut(cols.max(1)).zip(&self.dpre) {
+            self.saved.clear();
+            self.saved.extend(self.last_active.iter().map(|&j| wrow[j]));
+            for wj in wrow.iter_mut() {
+                *wj -= lr * (0.0 + l2 * *wj);
             }
-            self.b[k] -= lr * (0.0 + dpre);
+            for (&j, &s) in self.last_active.iter().zip(&self.saved) {
+                wrow[j] = s - lr * ((0.0 + d) + l2 * s);
+            }
         }
+        for (b, &d) in self.b.iter_mut().zip(&self.dpre) {
+            *b -= lr * (0.0 + d);
+        }
+    }
+
+    /// `dpre[i] = dl_dy[i] · f'(pre[i])` into the reused scratch buffer.
+    fn fill_dpre(&mut self, dl_dy: &[f32]) {
+        let act = self.act;
+        self.dpre.clear();
+        self.dpre.extend(
+            dl_dy
+                .iter()
+                .zip(self.last_pre.iter().zip(&self.last_y))
+                .map(|(&g, (&pre, &y))| g * act.derivative(pre, y)),
+        );
     }
 
     /// Backward pass matching [`Self::forward_sparse`]: accumulates `dW`

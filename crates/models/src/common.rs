@@ -37,21 +37,15 @@ pub fn sample_observed<R: Rng + ?Sized>(
     if train.num_interactions() == 0 {
         return None;
     }
-    // Sample users proportionally to their degree via a global index.
+    // Sample users proportionally to their degree via a global index: the
+    // draw is row `k` of the user-major layout, and its user is the last
+    // one whose offset is `<= k` (zero-degree users share an offset with
+    // their successor, so they are never picked).
     let k = rng.gen_range(0..train.num_interactions());
-    // Binary search over the user offsets through the public API: walk
-    // users, subtracting degrees. m is small enough that the scan is
-    // cheap relative to a model's gradient step; revisit if profiled hot.
-    let mut rem = k;
-    for u in 0..train.num_users() {
-        let user = UserId(u as u32);
-        let deg = train.user_degree(user);
-        if rem < deg {
-            return Some((user, train.items_of(user)[rem]));
-        }
-        rem -= deg;
-    }
-    None
+    let offsets = train.columnar().u_offsets();
+    let u = offsets.partition_point(|&o| o as usize <= k) - 1;
+    let user = UserId(u as u32);
+    Some((user, train.items_of(user)[k - offsets[u] as usize]))
 }
 
 /// Returns the epoch count scaled so that total SGD steps stay roughly
@@ -69,6 +63,7 @@ mod tests {
     use super::*;
     use kgrec_data::interactions::Interaction;
     use kgrec_data::ItemId;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -104,6 +99,59 @@ mod tests {
         }
         for c in counts {
             assert!(c > 700, "non-uniform: {counts:?}");
+        }
+    }
+
+    /// The linear-scan predecessor of [`sample_observed`]: walk users,
+    /// subtracting degrees, until the global draw lands in one's history.
+    fn sample_observed_linear<R: Rng + ?Sized>(
+        train: &InteractionMatrix,
+        rng: &mut R,
+    ) -> Option<(UserId, ItemId)> {
+        if train.num_interactions() == 0 {
+            return None;
+        }
+        let mut rem = rng.gen_range(0..train.num_interactions());
+        for u in 0..train.num_users() {
+            let user = UserId(u as u32);
+            let deg = train.user_degree(user);
+            if rem < deg {
+                return Some((user, train.items_of(user)[rem]));
+            }
+            rem -= deg;
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Degrees of 0 are drawn often, so zero-history users land at the
+        /// start, middle and end of the offset column.
+        #[test]
+        fn sample_observed_matches_linear_scan(
+            degrees in prop::collection::vec(
+                (0u8..5, 1usize..6).prop_map(|(sel, d)| if sel < 3 { 0 } else { d }),
+                1..14,
+            ),
+            seed in 0u64..1000,
+        ) {
+            let rows: Vec<Interaction> = degrees
+                .iter()
+                .enumerate()
+                .flat_map(|(u, &d)| {
+                    (0..d).map(move |i| Interaction::implicit(UserId(u as u32), ItemId(i as u32)))
+                })
+                .collect();
+            let m = InteractionMatrix::from_interactions(degrees.len(), 6, &rows);
+            let mut fast = StdRng::seed_from_u64(seed);
+            let mut slow = StdRng::seed_from_u64(seed);
+            for _ in 0..40 {
+                prop_assert_eq!(
+                    sample_observed(&m, &mut fast),
+                    sample_observed_linear(&m, &mut slow)
+                );
+            }
         }
     }
 

@@ -13,6 +13,17 @@
 //! enc(social row), item embedding = enc(audience row) + enc(profile
 //! row); score = `σ(h_uᵀ·h_v)` trained with BCE. Datasets without social
 //! links simply skip the social channel.
+//!
+//! **Encoder cache invariant.** Each per-sample step encodes every
+//! channel once (`train_encode`), then pushes the BCE gradient back
+//! through the same encoders (`apply_hidden_grad`). `train_encode` always
+//! ends on a `forward_sparse` of the channel's input row under the
+//! encoder's current weights, and nothing touches that encoder until its
+//! `apply_hidden_grad` — each channel owns its encoder, and the other
+//! channels' steps in between only touch their own. So the cached
+//! activations are exactly what a fresh forward pass would produce, and
+//! the backward step consumes them directly. Any change that updates an
+//! encoder between the two calls must re-run the forward first.
 
 use crate::common::{sample_observed, taxonomy_of};
 use kgrec_core::{CoreError, Recommender, Taxonomy, TrainContext};
@@ -133,8 +144,11 @@ impl Channel {
     }
 
     /// Applies a gradient on the hidden code back through the encoder.
-    fn apply_hidden_grad(&mut self, idx: usize, dh: &[f32], lr: f32) {
-        let _ = self.encoder.forward_sparse(&self.inputs[idx]);
+    ///
+    /// Consumes the encoder cache [`Self::train_encode`] left for the same
+    /// `idx` (see the module docs for the invariant) instead of re-running
+    /// the identical forward pass.
+    fn apply_hidden_grad(&mut self, dh: &[f32], lr: f32) {
         // Weight decay touches every parameter; the fused kernel applies
         // the sparse gradient and the dense decay in one weight sweep.
         self.encoder.backward_sparse_step_sgd(dh, lr, 1e-5);
@@ -192,13 +206,13 @@ impl ChannelSet {
         let dz = vector::sigmoid(z) - label;
         let dhu: Vec<f32> = hv.iter().map(|x| dz * x).collect();
         let dhv: Vec<f32> = hu.iter().map(|x| dz * x).collect();
-        self.sentiment_user.apply_hidden_grad(user.index(), &dhu, lr);
+        self.sentiment_user.apply_hidden_grad(&dhu, lr);
         if let Some(social) = self.social.as_mut() {
-            social.apply_hidden_grad(user.index(), &dhu, lr);
+            social.apply_hidden_grad(&dhu, lr);
         }
-        self.sentiment_item.apply_hidden_grad(item.index(), &dhv, lr);
+        self.sentiment_item.apply_hidden_grad(&dhv, lr);
         if let Some(profile) = self.profile.as_mut() {
-            profile.apply_hidden_grad(item.index(), &dhv, lr);
+            profile.apply_hidden_grad(&dhv, lr);
         }
     }
 
@@ -416,6 +430,26 @@ mod tests {
         m.fit(&TrainContext::new(&synth.dataset, &split.train)).unwrap();
         assert!(m.social.is_some());
         assert!(m.score(UserId(0), ItemId(0)).is_finite());
+    }
+
+    /// FNV-1a over the bits of every user × item score of a SHINE fit on
+    /// `tiny`. Pins the training kernels bit for bit: any drift in the
+    /// `Dense` forward/backward sweeps moves this digest.
+    #[test]
+    fn score_checksum_is_pinned() {
+        let synth = generate(&ScenarioConfig::tiny(), 42);
+        let split = ratio_split(&synth.dataset.interactions, 0.2, 1);
+        let mut m = Shine::default_config();
+        m.fit(&TrainContext::new(&synth.dataset, &split.train)).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for u in 0..split.train.num_users() {
+            for i in 0..m.num_items() {
+                for b in m.score(UserId(u as u32), ItemId(i as u32)).to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 0xb2fd_82d5_5c7e_ce6f, "SHINE score digest drifted: {h:#018x}");
     }
 
     #[test]

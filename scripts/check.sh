@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== kgrec-linalg tests under fast-math (relaxed reductions)"
+# The relaxed `dot`/`dot8` branches are never built by the default gate;
+# `matvec_into` reaches them through `dot8`, so their contracts run here.
+cargo test -q -p kgrec-linalg --features fast-math
+
 echo "== kgbench unit tests (traced serving path == Server::serve)"
 # kgbench is a package of its own, outside the workspace, so the line
 # above does not reach it. Its mirror test is the oracle that the traced

@@ -42,6 +42,33 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `n` values drawn from `rng`, one in four an exact `+0.0` or `-0.0`.
+fn planted(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| match rng.gen_range(0u8..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect()
+}
+
+/// A strictly ascending active list over `0..input`: empty, full, a few
+/// columns (SHINE's regime), or about half of them.
+fn active_list(rng: &mut StdRng, input: usize, sel: u8) -> Vec<usize> {
+    match sel {
+        0 => Vec::new(),
+        1 => (0..input).collect(),
+        2 => {
+            let mut a: Vec<usize> = (0..5).map(|_| rng.gen_range(0..input)).collect();
+            a.sort_unstable();
+            a.dedup();
+            a
+        }
+        _ => (0..input).filter(|_| rng.gen_range(0u8..2) == 0).collect(),
+    }
+}
+
 /// The full-sort predecessor of `vector::top_k_indices`.
 fn top_k_by_full_sort(x: &[f32], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..x.len()).collect();
@@ -217,11 +244,15 @@ proptest! {
 
     #[test]
     fn fused_dense_backward_step_matches_unfused(
-        input in 1usize..10,
-        output in 1usize..8,
+        wide in 1usize..701,
+        narrow in 1usize..17,
+        swap in any::<bool>(),
         seed in 0u64..500,
         l2_sel in 0u8..3,
     ) {
+        // Both orientations of SHINE's layers: up to 700 wide in and 16
+        // out (encoder), or 16 in and up to 700 out (decoder).
+        let (input, output) = if swap { (narrow, wide) } else { (wide, narrow) };
         let l2 = match l2_sel {
             0 => 0.0f32,
             1 => 1e-5,
@@ -229,38 +260,107 @@ proptest! {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut unfused = Dense::new(&mut rng, input, output, Activation::Sigmoid);
+        let w = planted(&mut rng, input * output);
+        unfused.weights_mut().data_mut().copy_from_slice(&w);
         let mut fused = unfused.clone();
-        let x: Vec<f32> = (0..input).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-        let y = unfused.forward(&x);
-        let _ = fused.forward(&x);
-        let dl: Vec<f32> = y.iter().map(|v| v - 0.3).collect();
-        let dx_a = unfused.backward(&dl);
-        unfused.step_sgd(0.05, l2);
-        let dx_b = fused.backward_step_sgd(&dl, 0.05, l2);
-        prop_assert_eq!(bits(&dx_a), bits(&dx_b));
-        prop_assert_eq!(bits(unfused.weights().data()), bits(fused.weights().data()));
-        prop_assert_eq!(bits(unfused.bias()), bits(fused.bias()));
+        // Two rounds: the second proves the reused scratch buffers and the
+        // fused step left no stale state behind.
+        for _ in 0..2 {
+            let x = planted(&mut rng, input);
+            let y = unfused.forward(&x);
+            let _ = fused.forward(&x);
+            let plant = planted(&mut rng, output);
+            let dl: Vec<f32> =
+                y.iter().zip(&plant).map(|(v, p)| if *p == 0.0 { *p } else { v - 0.3 }).collect();
+            let dx_a = unfused.backward(&dl);
+            unfused.step_sgd(0.05, l2);
+            let dx_b = fused.backward_step_sgd(&dl, 0.05, l2);
+            prop_assert_eq!(bits(&dx_a), bits(&dx_b));
+            prop_assert_eq!(bits(unfused.weights().data()), bits(fused.weights().data()));
+            prop_assert_eq!(bits(unfused.bias()), bits(fused.bias()));
+        }
     }
 
     #[test]
     fn fused_sparse_backward_step_matches_unfused(
-        input in 1usize..12,
-        output in 1usize..8,
+        input in 1usize..701,
+        output in 1usize..17,
         seed in 0u64..500,
-        active_bits in prop::collection::vec(any::<bool>(), 12),
+        l2_sel in 0u8..3,
+        active_sel in (0u8..4, 0u8..4),
     ) {
-        let active: Vec<usize> = (0..input).filter(|&j| active_bits[j]).collect();
+        let l2 = match l2_sel {
+            0 => 0.0f32,
+            1 => 1e-5,
+            _ => 0.02,
+        };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut unfused = Dense::new(&mut rng, input, output, Activation::Tanh);
+        let w = planted(&mut rng, input * output);
+        unfused.weights_mut().data_mut().copy_from_slice(&w);
         let mut fused = unfused.clone();
-        let y = unfused.forward_sparse(&active);
-        let _ = fused.forward_sparse(&active);
-        let dl: Vec<f32> = y.iter().map(|v| 0.7 - v).collect();
-        unfused.backward_sparse(&dl);
-        unfused.step_sgd(0.05, 1e-5);
-        fused.backward_sparse_step_sgd(&dl, 0.05, 1e-5);
-        prop_assert_eq!(bits(unfused.weights().data()), bits(fused.weights().data()));
-        prop_assert_eq!(bits(unfused.bias()), bits(fused.bias()));
+        // Two rounds with independent active lists, so the saved-weights
+        // buffer is reused across lists of different lengths.
+        for sel in [active_sel.0, active_sel.1] {
+            let active = active_list(&mut rng, input, sel);
+            let y = unfused.forward_sparse(&active);
+            let _ = fused.forward_sparse(&active);
+            let plant = planted(&mut rng, output);
+            let dl: Vec<f32> =
+                y.iter().zip(&plant).map(|(v, p)| if *p == 0.0 { *p } else { 0.7 - v }).collect();
+            unfused.backward_sparse(&dl);
+            unfused.step_sgd(0.05, l2);
+            fused.backward_sparse_step_sgd(&dl, 0.05, l2);
+            prop_assert_eq!(bits(unfused.weights().data()), bits(fused.weights().data()));
+            prop_assert_eq!(bits(unfused.bias()), bits(fused.bias()));
+        }
+    }
+
+    #[test]
+    fn matvec_into_matches_per_row_dot(rows in 0usize..26, cols in 0usize..40, seed in 0u64..500) {
+        // 0..=25 rows: every remainder mod 8 around the eight-row blocks.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = Matrix::from_vec(rows, cols, planted(&mut rng, rows * cols));
+        let x = planted(&mut rng, cols);
+        let mut y = vec![f32::NAN; rows];
+        a.matvec_into(&x, &mut y);
+        let want: Vec<f32> = (0..rows).map(|r| vector::dot(a.row(r), &x)).collect();
+        prop_assert_eq!(bits(&y), bits(&want));
+    }
+
+    #[test]
+    fn forward_on_reused_layer_matches_fresh_clone(
+        input in 1usize..40,
+        output in 1usize..20,
+        seed in 0u64..500,
+        act_sel in 0u8..5,
+        sparse_first in any::<bool>(),
+    ) {
+        let act = [
+            Activation::Identity,
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Relu,
+            Activation::Softplus,
+        ][usize::from(act_sel)];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reused = Dense::new(&mut rng, input, output, act);
+        let mut fresh = reused.clone();
+        // The first pass leaves its output in the cached buffers the
+        // second one overwrites.
+        if sparse_first {
+            let active = active_list(&mut rng, input, 3);
+            let _ = reused.forward_sparse(&active);
+        } else {
+            let _ = reused.forward(&planted(&mut rng, input));
+        }
+        let x = planted(&mut rng, input);
+        let y_reused = reused.forward(&x);
+        let y_fresh = fresh.forward(&x);
+        prop_assert_eq!(bits(&y_reused), bits(&y_fresh));
+        // The cache the second pass left must drive backward identically.
+        let dl: Vec<f32> = y_fresh.iter().map(|v| v - 0.5).collect();
+        prop_assert_eq!(bits(&reused.backward(&dl)), bits(&fresh.backward(&dl)));
     }
 
     #[test]
