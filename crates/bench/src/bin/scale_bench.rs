@@ -15,12 +15,15 @@
 //!    (top-K full ranking is intentionally excluded at this scale);
 //! 6. **ingest** — append a 1% interaction batch, then prove the
 //!    warm-start path resumes from the checkpoint (`attempts == 0`);
-//! 7. **memory** — peak RSS (`VmHWM`) against a stated budget.
+//! 7. **memory** — peak RSS (`VmHWM`) against a stated budget, and the
+//!    generated store's bytes per row against [`MAX_STORE_BYTES_PER_ROW`]
+//!    (a deterministic layout gate: sentinel-only payload columns must
+//!    not be stored).
 //!
 //! Modes: the default `--smoke` runs the 50×-reduced `huge-smoke`
 //! configuration (CI on every push); `--full` runs the real 1M-user
-//! scenario (nightly). Exit code 0 = all gates green; 1 = a validation
-//! or warm-start gate failed; 2 = memory budget exceeded.
+//! scenario (nightly). Exit code 0 = all gates green; 1 = a validation,
+//! warm-start or store-layout gate failed; 2 = memory budget exceeded.
 //!
 //! Usage: `scale_bench [--smoke|--full] [--threads N] [--budget-mb MB]
 //! [--out PATH]`
@@ -47,6 +50,12 @@ const HOLDOUT_EVERY_NTH: usize = 5;
 /// derivation.
 const BUDGET_SMOKE_MB: u64 = 1024;
 const BUDGET_FULL_MB: u64 = 4096;
+/// Ceiling on `memory_bytes() / rows` of the generated store. The `huge`
+/// scenarios are implicit with timestamps, so a row costs its item (4 B),
+/// its item-index user (4 B) and its timestamp (8 B), plus the offset
+/// arrays (~0.5 B/row at `huge-smoke`). A stored all-`NaN` rating column
+/// would add 4 B.
+const MAX_STORE_BYTES_PER_ROW: f64 = 17.0;
 
 struct Phase {
     name: &'static str,
@@ -125,8 +134,10 @@ fn main() {
     let rows = synth.dataset.interactions.num_interactions();
     let store_bytes = synth.dataset.interactions.columnar().memory_bytes();
     let graph_bytes = synth.dataset.graph.csr().memory_bytes();
+    let store_bytes_per_row = store_bytes as f64 / rows.max(1) as f64;
     let gen_phase = Phase::new("generate", t0.elapsed().as_secs_f64(), rows)
         .with("store_bytes", store_bytes.to_string())
+        .with("store_bytes_per_row", json_f64(store_bytes_per_row))
         .with("graph_bytes", graph_bytes.to_string())
         .with("triples", synth.dataset.graph.num_triples().to_string());
     println!(
@@ -290,6 +301,12 @@ fn main() {
         ),
         None => println!("  memory: VmHWM unavailable on this platform (budget not enforced)"),
     }
+    let layout_ok = store_bytes_per_row <= MAX_STORE_BYTES_PER_ROW;
+    println!(
+        "  memory: store {store_bytes_per_row:.2} B/row (ceiling {MAX_STORE_BYTES_PER_ROW}) — {}",
+        if layout_ok { "ok" } else { "LAYOUT GATE FAILED" }
+    );
+    gates_green &= layout_ok;
 
     // Report.
     let mut json = String::new();
@@ -324,6 +341,11 @@ fn main() {
     json.push_str("  },\n");
     json.push_str("  \"memory\": {\n");
     json.push_str(&format!("    \"interactions_bytes\": {store_bytes},\n"));
+    json.push_str(&format!(
+        "    \"interactions_bytes_per_row\": {},\n",
+        json_f64(store_bytes_per_row)
+    ));
+    json.push_str(&format!("    \"max_bytes_per_row\": {},\n", json_f64(MAX_STORE_BYTES_PER_ROW)));
     json.push_str(&format!("    \"graph_bytes\": {graph_bytes},\n"));
     json.push_str(&format!(
         "    \"peak_rss_mb\": {},\n",

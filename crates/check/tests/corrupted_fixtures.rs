@@ -8,6 +8,7 @@
 
 use kgrec_check::rules::{self, Rule};
 use kgrec_check::{CheckBundle, CheckReport, HyperParam, Severity, Subject};
+use kgrec_data::columnar::ColumnarViolation;
 use kgrec_data::negative::LabeledPair;
 use kgrec_data::split::{ratio_split, Split};
 use kgrec_data::synth::{generate, ScenarioConfig, SyntheticDataset};
@@ -345,6 +346,31 @@ fn md007_fires_on_non_monotone_user_offsets() {
     assert_eq!(diags.len(), 1, "diags: {diags:?}");
     assert_eq!(diags[0].subject, Subject::User(1));
     assert!(diags[0].message.contains("offset array decreases"), "message: {}", diags[0].message);
+}
+
+#[test]
+fn md007_fires_on_short_raw_parts_rating_column() {
+    let mut synth = tiny();
+    let (u_offsets, items, mut ratings, timestamps, i_offsets, i_users) =
+        raw_columns(&synth.dataset.interactions);
+    let n_users = synth.dataset.interactions.num_users();
+    let n_items = synth.dataset.interactions.num_items();
+    let rows = items.len();
+    ratings.pop(); // one row short: raw parts never mean "absent column"
+    synth.dataset.interactions =
+        InteractionMatrix::from_columnar(ColumnarInteractions::from_raw_parts(
+            n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
+        ));
+    let violations = synth.dataset.interactions.columnar().validate();
+    assert_eq!(
+        violations,
+        [ColumnarViolation::ColumnLengthMismatch { lengths: (rows, rows - 1, rows) }]
+    );
+    let diags = md007_diags(&CheckBundle::new(&synth.dataset));
+    assert_eq!(diags.len(), 1, "diags: {diags:?}");
+    assert_eq!(diags[0].code, "MD007");
+    assert_eq!(diags[0].subject, Subject::Dataset);
+    assert!(diags[0].message.contains("columns disagree"), "message: {}", diags[0].message);
 }
 
 #[test]

@@ -8,6 +8,16 @@
 //! survey models keep their familiar accessors while the storage
 //! underneath is flat, compact, and appendable.
 //!
+//! The store pays only for data it holds. The `ratings` and `timestamps`
+//! payload columns are stored only when some row carries a value other
+//! than the sentinel (the `f32::NAN` bit pattern and [`NO_TIMESTAMP`]).
+//! Implicit feedback without event times — the survey's binary `R` —
+//! therefore costs the item column and the item-major index alone.
+//! [`ColumnarInteractions::ratings_of`] and
+//! [`ColumnarInteractions::timestamps_of`] serve an absent column as a
+//! prefix of one sentinel run per store, as long as the longest user
+//! history, so readers see the same per-row values either way.
+//!
 //! Two properties are load-bearing and pinned by tests:
 //!
 //! * **Dedup order** — duplicate `(user, item)` pairs collapse keeping the
@@ -25,6 +35,90 @@ use kgrec_graph::id32;
 /// Timestamp sentinel for rows without an event time.
 pub const NO_TIMESTAMP: u64 = u64::MAX;
 
+/// A payload value type with a reserved "no value" encoding.
+trait Sentinel: Copy {
+    /// The "no value" encoding.
+    const SENTINEL: Self;
+
+    /// Whether `self` is exactly the sentinel encoding.
+    fn is_sentinel(self) -> bool;
+}
+
+impl Sentinel for f32 {
+    const SENTINEL: f32 = f32::NAN;
+
+    /// Bitwise: a NaN with any other payload bits is a stored value.
+    fn is_sentinel(self) -> bool {
+        self.to_bits() == f32::NAN.to_bits()
+    }
+}
+
+impl Sentinel for u64 {
+    const SENTINEL: u64 = NO_TIMESTAMP;
+
+    fn is_sentinel(self) -> bool {
+        self == NO_TIMESTAMP
+    }
+}
+
+/// One payload column (`ratings` or `timestamps`), aligned with `items`.
+#[derive(Debug, Clone)]
+enum Payload<T> {
+    /// One value per row.
+    Stored(Vec<T>),
+    /// Every row holds the sentinel. `run` is that many sentinels as the
+    /// longest user history, so every history's slice is a prefix of it.
+    /// Only [`ColumnarBuilder::finish`] makes this variant.
+    Absent { run: Vec<T> },
+}
+
+impl<T: Sentinel> Payload<T> {
+    /// The column for a store of `max_degree`-long histories, given the
+    /// values the builder materialized (empty: every row was a sentinel).
+    fn from_built(values: Vec<T>, max_degree: usize) -> Self {
+        if values.is_empty() {
+            Payload::Absent { run: vec![T::SENTINEL; max_degree] }
+        } else {
+            Payload::Stored(values)
+        }
+    }
+
+    /// The values of the rows in `range`.
+    #[inline]
+    fn slice(&self, range: std::ops::Range<usize>) -> &[T] {
+        match self {
+            Payload::Stored(values) => &values[range],
+            Payload::Absent { run } => &run[..range.len()],
+        }
+    }
+
+    /// Column length in a store of `rows` rows (an absent column is
+    /// `rows` sentinels long).
+    fn len(&self, rows: usize) -> usize {
+        match self {
+            Payload::Stored(values) => values.len(),
+            Payload::Absent { .. } => rows,
+        }
+    }
+
+    /// Every row's value, in row order, for a store of `rows` rows.
+    fn values(&self, rows: usize) -> impl Iterator<Item = T> + '_ {
+        let (stored, absent): (&[T], usize) = match self {
+            Payload::Stored(values) => (values, 0),
+            Payload::Absent { .. } => (&[], rows),
+        };
+        stored.iter().copied().chain(std::iter::repeat_n(T::SENTINEL, absent))
+    }
+
+    /// Heap bytes of stored values.
+    fn stored_bytes(&self) -> usize {
+        match self {
+            Payload::Stored(values) => std::mem::size_of_val(values.as_slice()),
+            Payload::Absent { .. } => 0,
+        }
+    }
+}
+
 /// Sorted columnar interaction store (user-major) with an item-major index.
 #[derive(Debug, Clone)]
 pub struct ColumnarInteractions {
@@ -34,10 +128,10 @@ pub struct ColumnarInteractions {
     u_offsets: Vec<u32>,
     /// Item column, strictly increasing within each user's range.
     items: Vec<ItemId>,
-    /// Rating column aligned with `items` (`NaN` = implicit).
-    ratings: Vec<f32>,
-    /// Timestamp column aligned with `items` ([`NO_TIMESTAMP`] = absent).
-    timestamps: Vec<u64>,
+    /// Ratings aligned with `items` (`NaN` = implicit).
+    ratings: Payload<f32>,
+    /// Timestamps aligned with `items` ([`NO_TIMESTAMP`] = no event time).
+    timestamps: Payload<u64>,
     /// Per-item row ranges into `i_users`, length `num_items + 1`.
     i_offsets: Vec<u32>,
     /// User column of the item-major index, sorted within each item.
@@ -145,13 +239,17 @@ impl ColumnarInteractions {
         sorted.dedup_by_key(|it| (it.user.0, it.item.0));
 
         let mut builder = ColumnarBuilder::new(num_users, num_items);
+        builder.reserve(sorted.len());
         for it in &sorted {
             builder.push(it.user, it.item, it.rating, it.timestamp);
         }
         builder.finish()
     }
 
-    /// Assembles a store from raw columns with **no validation**.
+    /// Assembles a store from raw columns with **no validation**. Both
+    /// payload columns count as stored, so an empty `ratings` or
+    /// `timestamps` beside nonempty `items` is a length mismatch, not an
+    /// absent column.
     ///
     /// Exists for the kglint `MD007` corrupted fixtures; production code
     /// goes through [`Self::from_interactions`] or [`ColumnarBuilder`].
@@ -166,7 +264,16 @@ impl ColumnarInteractions {
         i_offsets: Vec<u32>,
         i_users: Vec<UserId>,
     ) -> Self {
-        Self { num_users, num_items, u_offsets, items, ratings, timestamps, i_offsets, i_users }
+        Self {
+            num_users,
+            num_items,
+            u_offsets,
+            items,
+            ratings: Payload::Stored(ratings),
+            timestamps: Payload::Stored(timestamps),
+            i_offsets,
+            i_users,
+        }
     }
 
     /// Number of users `m`.
@@ -199,14 +306,14 @@ impl ColumnarInteractions {
     /// Ratings aligned with [`Self::items_of`] (`NaN` for implicit rows).
     #[inline]
     pub fn ratings_of(&self, user: UserId) -> &[f32] {
-        &self.ratings[self.user_range(user)]
+        self.ratings.slice(self.user_range(user))
     }
 
     /// Timestamps aligned with [`Self::items_of`] ([`NO_TIMESTAMP`] for
     /// rows without an event time).
     #[inline]
     pub fn timestamps_of(&self, user: UserId) -> &[u64] {
-        &self.timestamps[self.user_range(user)]
+        self.timestamps.slice(self.user_range(user))
     }
 
     /// Users who interacted with `item`, sorted by user id.
@@ -238,12 +345,14 @@ impl ColumnarInteractions {
         &self.u_offsets
     }
 
-    /// Heap bytes held by all six columns.
+    /// Heap bytes of the stored columns. An absent payload column counts
+    /// nothing; its sentinel run (one longest history long, independent
+    /// of the row count) is left out.
     pub fn memory_bytes(&self) -> usize {
         self.u_offsets.len() * 4
             + self.items.len() * 4
-            + self.ratings.len() * 4
-            + self.timestamps.len() * 8
+            + self.ratings.stored_bytes()
+            + self.timestamps.stored_bytes()
             + self.i_offsets.len() * 4
             + self.i_users.len() * 4
     }
@@ -266,35 +375,33 @@ impl ColumnarInteractions {
         add.dedup_by_key(|it| (it.user.0, it.item.0));
 
         let mut builder = ColumnarBuilder::new(self.num_users, self.num_items);
+        builder.reserve(self.num_rows() + add.len());
         let mut b = 0usize; // cursor into `add`
         for u in 0..self.num_users {
             let user = UserId(id32(u));
-            let range = self.user_range(user);
-            let mut e = range.start; // cursor into existing rows
+            let items = self.items_of(user);
+            let ratings = self.ratings_of(user);
+            let stamps = self.timestamps_of(user);
+            let mut e = 0usize; // cursor into the user's existing rows
             loop {
-                let existing = (e < range.end).then(|| self.items[e]);
+                let existing = items.get(e).copied();
                 let added = (b < add.len() && add[b].user == user).then(|| add[b].item);
                 match (existing, added) {
                     (None, None) => break,
-                    (Some(_), Some(ai)) if self.items[e] == ai => {
+                    (Some(ei), Some(ai)) if ei == ai => {
                         // Existing row wins; the batch duplicate is dropped.
                         b += 1;
                     }
                     (Some(ei), Some(ai)) if ai < ei => {
-                        builder.push_raw(user, ai, add[b].rating, add[b].timestamp);
+                        builder.push(user, ai, add[b].rating, add[b].timestamp);
                         b += 1;
                     }
-                    (Some(_), _) => {
-                        builder.push_existing(
-                            user,
-                            self.items[e],
-                            self.ratings[e],
-                            self.timestamps[e],
-                        );
+                    (Some(ei), _) => {
+                        builder.push_existing(user, ei, ratings[e], stamps[e]);
                         e += 1;
                     }
                     (None, Some(ai)) => {
-                        builder.push_raw(user, ai, add[b].rating, add[b].timestamp);
+                        builder.push(user, ai, add[b].rating, add[b].timestamp);
                         b += 1;
                     }
                 }
@@ -304,7 +411,9 @@ impl ColumnarInteractions {
     }
 
     /// FNV-1a digest over every column — a cheap byte-identity fingerprint
-    /// for the ingest determinism tests.
+    /// for the ingest determinism tests. An absent payload column hashes
+    /// as its per-row sentinels, so the digest depends on the row values
+    /// only, not on whether a column is stored.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_usize(self.num_users);
@@ -315,10 +424,11 @@ impl ColumnarInteractions {
         for &i in &self.items {
             h.write_u32(i.0);
         }
-        for &r in &self.ratings {
+        let rows = self.items.len();
+        for r in self.ratings.values(rows) {
             h.write_u32(r.to_bits());
         }
-        for &t in &self.timestamps {
+        for t in self.timestamps.values(rows) {
             h.write_u64(t);
         }
         for &o in &self.i_offsets {
@@ -332,7 +442,8 @@ impl ColumnarInteractions {
 
     /// Structural integrity scan: monotone offsets, consistent column
     /// lengths, in-range strictly-sorted items, and an item-major index
-    /// that agrees with the user-major columns.
+    /// that agrees with the user-major columns. An absent payload column
+    /// (builder-made stores only) has the row count as its length.
     pub fn validate(&self) -> Vec<ColumnarViolation> {
         let mut out = Vec::new();
         if self.u_offsets.len() != self.num_users + 1 {
@@ -350,10 +461,10 @@ impl ColumnarInteractions {
         if !out.is_empty() {
             return out;
         }
-        if self.items.len() != self.ratings.len() || self.ratings.len() != self.timestamps.len() {
-            out.push(ColumnarViolation::ColumnLengthMismatch {
-                lengths: (self.items.len(), self.ratings.len(), self.timestamps.len()),
-            });
+        let rows = self.items.len();
+        let lengths = (rows, self.ratings.len(rows), self.timestamps.len(rows));
+        if lengths.1 != rows || lengths.2 != rows {
+            out.push(ColumnarViolation::ColumnLengthMismatch { lengths });
             return out;
         }
         if self.u_offsets[self.num_users] as usize != self.items.len() {
@@ -428,13 +539,19 @@ fn build_item_index(
 /// are laid down directly — no intermediate `Vec<Interaction>`. This is
 /// what lets the `huge` generator stream 10M rows without materializing
 /// them twice.
+///
+/// A payload column is materialized at its first non-sentinel value, with
+/// the earlier rows back-filled by sentinels; a column that never gets
+/// one is not stored at all.
 #[derive(Debug)]
 pub struct ColumnarBuilder {
     num_users: usize,
     num_items: usize,
     counts: Vec<u32>,
     items: Vec<ItemId>,
+    /// Empty until the first non-sentinel rating.
     ratings: Vec<f32>,
+    /// Empty until the first non-sentinel timestamp.
     timestamps: Vec<u64>,
     last: Option<(UserId, ItemId)>,
 }
@@ -453,11 +570,10 @@ impl ColumnarBuilder {
         }
     }
 
-    /// Reserves capacity for `rows` upcoming pushes.
+    /// Reserves item-column capacity for `rows` upcoming pushes. A payload
+    /// column, once materialized, takes the item column's capacity.
     pub fn reserve(&mut self, rows: usize) {
         self.items.reserve(rows);
-        self.ratings.reserve(rows);
-        self.timestamps.reserve(rows);
     }
 
     /// Appends one row. Rows must arrive sorted by `(user, item)` with no
@@ -493,20 +609,10 @@ impl ColumnarBuilder {
         }
         self.last = Some((user, item));
         self.counts[user.index()] += 1;
+        let (row, capacity) = (self.items.len(), self.items.capacity());
+        push_payload(&mut self.ratings, row, capacity, rating);
+        push_payload(&mut self.timestamps, row, capacity, timestamp);
         self.items.push(item);
-        self.ratings.push(rating);
-        self.timestamps.push(timestamp);
-    }
-
-    /// Internal alias used by [`ColumnarInteractions::append`].
-    fn push_raw(
-        &mut self,
-        user: UserId,
-        item: ItemId,
-        rating: Option<f32>,
-        timestamp: Option<u64>,
-    ) {
-        self.push(user, item, rating, timestamp);
     }
 
     /// Finalizes the columns and builds the item-major index.
@@ -517,17 +623,32 @@ impl ColumnarBuilder {
         }
         let (i_offsets, i_users) =
             build_item_index(self.num_users, self.num_items, &u_offsets, &self.items);
+        let max_degree = self.counts.iter().max().map_or(0, |&c| c as usize);
         ColumnarInteractions {
             num_users: self.num_users,
             num_items: self.num_items,
             u_offsets,
             items: self.items,
-            ratings: self.ratings,
-            timestamps: self.timestamps,
+            ratings: Payload::from_built(self.ratings, max_degree),
+            timestamps: Payload::from_built(self.timestamps, max_degree),
             i_offsets,
             i_users,
         }
     }
+}
+
+/// Appends `value` as row `row` of a payload column that stays empty
+/// while every row so far is a sentinel. The first non-sentinel value
+/// allocates the column at `capacity` and back-fills rows `0..row`.
+fn push_payload<T: Sentinel>(column: &mut Vec<T>, row: usize, capacity: usize, value: T) {
+    if column.is_empty() {
+        if value.is_sentinel() {
+            return;
+        }
+        column.reserve_exact(capacity.max(row + 1));
+        column.resize(row, T::SENTINEL);
+    }
+    column.push(value);
 }
 
 /// Minimal FNV-1a 64-bit hasher (dependency-free, deterministic).
@@ -675,6 +796,139 @@ mod tests {
             &[Interaction::implicit(UserId(0), ItemId(1))],
         );
         assert_ne!(a.digest(), c.digest());
+    }
+
+    /// Six rows over three users; row `k` (in sorted order) alone carries
+    /// a rating and a timestamp when `k` is `Some`.
+    fn rows_with_payload_at(k: Option<usize>) -> Vec<Interaction> {
+        let keys = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 1), (2, 3)];
+        keys.iter()
+            .enumerate()
+            .map(|(row, &(u, i))| {
+                let carries = Some(row) == k;
+                Interaction {
+                    user: UserId(u),
+                    item: ItemId(i),
+                    rating: carries.then_some(4.0),
+                    timestamp: carries.then_some(9),
+                }
+            })
+            .collect()
+    }
+
+    /// Bytes of the item column, both offset arrays and the item index.
+    fn index_bytes(c: &ColumnarInteractions) -> usize {
+        (c.u_offsets.len() + 2 * c.num_rows() + c.i_offsets.len()) * 4
+    }
+
+    #[test]
+    fn payload_column_materializes_at_first_value() {
+        for k in [Some(0), Some(3), Some(5), None] {
+            let rows = rows_with_payload_at(k);
+            let c = ColumnarInteractions::from_interactions(3, 4, &rows);
+            assert!(c.validate().is_empty());
+            let mut row = 0;
+            for u in 0..3 {
+                let user = UserId(u);
+                let ratings = c.ratings_of(user);
+                let stamps = c.timestamps_of(user);
+                assert_eq!(ratings.len(), c.user_degree(user));
+                assert_eq!(stamps.len(), c.user_degree(user));
+                for p in 0..c.user_degree(user) {
+                    let want = rows[row];
+                    assert_eq!(ratings[p].to_bits(), want.rating.unwrap_or(f32::NAN).to_bits());
+                    assert_eq!(stamps[p], want.timestamp.unwrap_or(NO_TIMESTAMP));
+                    row += 1;
+                }
+            }
+            let payload = if k.is_some() { 6 * (4 + 8) } else { 0 };
+            assert_eq!(c.memory_bytes(), index_bytes(&c) + payload, "payload at {k:?}");
+        }
+    }
+
+    #[test]
+    fn implicit_store_without_timestamps_holds_no_payload() {
+        let c = ColumnarInteractions::from_interactions(
+            3,
+            4,
+            &[
+                Interaction::implicit(UserId(0), ItemId(1)),
+                Interaction::implicit(UserId(2), ItemId(0)),
+                Interaction::implicit(UserId(2), ItemId(3)),
+            ],
+        );
+        assert_eq!(c.memory_bytes(), index_bytes(&c));
+        assert!(matches!(c.ratings, Payload::Absent { .. }));
+        assert!(matches!(c.timestamps, Payload::Absent { .. }));
+        assert_eq!(c.timestamps_of(UserId(2)), &[NO_TIMESTAMP, NO_TIMESTAMP]);
+        assert_eq!(c.timestamps_of(UserId(1)), &[] as &[u64]);
+    }
+
+    #[test]
+    fn non_canonical_nan_rating_is_stored() {
+        let odd_nan = f32::from_bits(f32::NAN.to_bits() | 1);
+        let c = ColumnarInteractions::from_interactions(
+            1,
+            2,
+            &[
+                Interaction::implicit(UserId(0), ItemId(0)),
+                Interaction::rated(UserId(0), ItemId(1), odd_nan),
+            ],
+        );
+        assert!(matches!(c.ratings, Payload::Stored(_)));
+        let bits: Vec<u32> = c.ratings_of(UserId(0)).iter().map(|r| r.to_bits()).collect();
+        assert_eq!(bits, [f32::NAN.to_bits(), odd_nan.to_bits()]);
+        assert_eq!(c.memory_bytes(), index_bytes(&c) + 2 * 4);
+    }
+
+    #[test]
+    fn append_materializes_payload_columns_like_one_shot() {
+        for k in [Some(0), Some(3), Some(5), None] {
+            let rows = rows_with_payload_at(k);
+            let one_shot = ColumnarInteractions::from_interactions(3, 4, &rows);
+            for cut in 0..=rows.len() {
+                let grown = ColumnarInteractions::from_interactions(3, 4, &rows[..cut])
+                    .append(&rows[cut..]);
+                assert_eq!(grown.digest(), one_shot.digest(), "payload at {k:?}, cut {cut}");
+                assert_eq!(grown.memory_bytes(), one_shot.memory_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn digest_hashes_absent_columns_as_sentinels() {
+        let built = ColumnarInteractions::from_interactions(3, 4, &rows_with_payload_at(None));
+        let raw = ColumnarInteractions::from_raw_parts(
+            3,
+            4,
+            built.u_offsets.clone(),
+            built.items.clone(),
+            vec![f32::NAN; 6],
+            vec![NO_TIMESTAMP; 6],
+            built.i_offsets.clone(),
+            built.i_users.clone(),
+        );
+        assert!(raw.validate().is_empty());
+        assert_eq!(built.digest(), raw.digest());
+    }
+
+    #[test]
+    fn validate_rejects_raw_parts_with_empty_payload() {
+        let built = ColumnarInteractions::from_interactions(3, 4, &rows_with_payload_at(None));
+        let raw = ColumnarInteractions::from_raw_parts(
+            3,
+            4,
+            built.u_offsets.clone(),
+            built.items.clone(),
+            Vec::new(),
+            vec![NO_TIMESTAMP; 6],
+            built.i_offsets.clone(),
+            built.i_users.clone(),
+        );
+        assert_eq!(
+            raw.validate(),
+            [ColumnarViolation::ColumnLengthMismatch { lengths: (6, 0, 6) }]
+        );
     }
 
     #[test]

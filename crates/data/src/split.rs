@@ -6,17 +6,20 @@
 //!   `test_fraction` of them land in the test set, always keeping at least
 //!   one interaction in train (users with a single interaction contribute
 //!   nothing to test);
-//! * **leave-one-out** — one interaction per user (the last by timestamp
-//!   when timestamps exist, otherwise a seeded random pick) goes to test.
+//! * **leave-one-out** — one interaction per user, drawn uniformly with a
+//!   seeded RNG, goes to test.
 //!
-//! A third, [`systematic_holdout`], exists for the scale scenarios: it is
-//! RNG-free and streams both sides directly into columnar builders, so
-//! splitting a ten-million-row store never materializes an intermediate
-//! interaction list.
+//! Both keep ratings and drop every timestamp: the resulting stores carry
+//! no event times. A third, [`systematic_holdout`], exists for the scale
+//! scenarios: it is RNG-free and keeps timestamps.
+//!
+//! All three stream both sides straight into [`ColumnarBuilder`]s in
+//! `(user, item)` order, so splitting a ten-million-row store never
+//! materializes an intermediate interaction list or sorts one.
 
 use crate::columnar::{ColumnarBuilder, NO_TIMESTAMP};
 use crate::ids::UserId;
-use crate::interactions::{Interaction, InteractionMatrix};
+use crate::interactions::InteractionMatrix;
 use kgrec_graph::id32;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -40,85 +43,37 @@ pub fn ratio_split(matrix: &InteractionMatrix, test_fraction: f64, seed: u64) ->
         test_fraction > 0.0 && test_fraction < 1.0,
         "ratio_split: test_fraction must be in (0, 1)"
     );
+    // At least one interaction always stays in train.
+    let n_test = |degree: usize| {
+        (((degree as f64) * test_fraction).round() as usize).min(degree.saturating_sub(1))
+    };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for u in 0..matrix.num_users() {
-        let user = UserId(id32(u));
-        let items = matrix.items_of(user);
-        let ratings = matrix.ratings_of(user);
-        if items.is_empty() {
-            continue;
-        }
-        // Shuffle positions, take the head as test, bounded so at least
-        // one interaction always stays in train.
-        let mut pos: Vec<usize> = (0..items.len()).collect();
-        for i in (1..pos.len()).rev() {
+    stream_split(matrix, false, n_test, |degree, pos| {
+        // Shuffle positions and take the head as test.
+        pos.extend(0..degree);
+        for i in (1..degree).rev() {
             let j = rng.gen_range(0..=i);
             pos.swap(i, j);
         }
-        let want_test = ((items.len() as f64) * test_fraction).round() as usize;
-        let n_test = want_test.min(items.len() - 1);
-        for (k, &p) in pos.iter().enumerate() {
-            let it = Interaction {
-                user,
-                item: items[p],
-                rating: if ratings[p].is_nan() { None } else { Some(ratings[p]) },
-                timestamp: None,
-            };
-            if k < n_test {
-                test.push(it);
-            } else {
-                train.push(it);
-            }
-        }
-    }
-    Split {
-        train: InteractionMatrix::from_interactions(matrix.num_users(), matrix.num_items(), &train),
-        test: InteractionMatrix::from_interactions(matrix.num_users(), matrix.num_items(), &test),
-    }
+        pos.truncate(n_test(degree));
+        pos.sort_unstable();
+    })
 }
 
 /// Leave-one-out split; see module docs. Users with fewer than two
 /// interactions stay entirely in train.
 pub fn leave_one_out(matrix: &InteractionMatrix, seed: u64) -> Split {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for u in 0..matrix.num_users() {
-        let user = UserId(id32(u));
-        let items = matrix.items_of(user);
-        let ratings = matrix.ratings_of(user);
-        if items.len() < 2 {
-            for (p, &item) in items.iter().enumerate() {
-                train.push(Interaction {
-                    user,
-                    item,
-                    rating: if ratings[p].is_nan() { None } else { Some(ratings[p]) },
-                    timestamp: None,
-                });
+    stream_split(
+        matrix,
+        false,
+        |degree| usize::from(degree >= 2),
+        |degree, pos| {
+            if degree >= 2 {
+                pos.push(rng.gen_range(0..degree));
             }
-            continue;
-        }
-        let held = rng.gen_range(0..items.len());
-        for (p, &item) in items.iter().enumerate() {
-            let it = Interaction {
-                user,
-                item,
-                rating: if ratings[p].is_nan() { None } else { Some(ratings[p]) },
-                timestamp: None,
-            };
-            if p == held {
-                test.push(it);
-            } else {
-                train.push(it);
-            }
-        }
-    }
-    Split {
-        train: InteractionMatrix::from_interactions(matrix.num_users(), matrix.num_items(), &train),
-        test: InteractionMatrix::from_interactions(matrix.num_users(), matrix.num_items(), &test),
-    }
+        },
+    )
 }
 
 /// RNG-free streaming split for the scale scenarios: of each user's
@@ -127,35 +82,63 @@ pub fn leave_one_out(matrix: &InteractionMatrix, seed: u64) -> Split {
 /// hold-out fraction. Users with fewer than two rows stay entirely in
 /// train, matching [`ratio_split`]'s floor.
 ///
-/// Both sides are pushed straight into [`ColumnarBuilder`]s, so the only
-/// allocations are the two resulting stores — no intermediate
-/// [`Interaction`] list. Ratings and timestamps are carried through
-/// unchanged. Deterministic by construction (no seed needed).
+/// Ratings and timestamps are carried through unchanged. Deterministic by
+/// construction (no seed needed).
 ///
 /// # Panics
 /// Panics if `every_nth < 2` (everything would land in one side).
 pub fn systematic_holdout(matrix: &InteractionMatrix, every_nth: usize) -> Split {
     assert!(every_nth >= 2, "systematic_holdout: every_nth must be at least 2");
+    stream_split(
+        matrix,
+        true,
+        |degree| if degree >= 2 { degree / every_nth } else { 0 },
+        |degree, pos| {
+            if degree >= 2 {
+                pos.extend((every_nth - 1..degree).step_by(every_nth));
+            }
+        },
+    )
+}
+
+/// The streaming core of every split. For each user in order,
+/// `hold_out(degree, positions)` gets a cleared position buffer and
+/// leaves in it, ascending, the history positions that go to test; the
+/// user's rows are then pushed, in item order, into the train or test
+/// builder. Called once per user, so an RNG it captures is consumed
+/// exactly as a per-user loop consumes it. `n_test(degree)` is how many
+/// positions `hold_out` leaves for a history that long; it sizes the two
+/// item columns up front.
+///
+/// Ratings pass through (any `NaN` becomes the implicit sentinel);
+/// timestamps pass through only when `keep_timestamps` is set.
+fn stream_split(
+    matrix: &InteractionMatrix,
+    keep_timestamps: bool,
+    n_test: impl Fn(usize) -> usize,
+    mut hold_out: impl FnMut(usize, &mut Vec<usize>),
+) -> Split {
     let cols = matrix.columnar();
-    let rows = cols.num_rows();
+    let users = (0..matrix.num_users()).map(|u| UserId(id32(u)));
+    let test_rows: usize = users.clone().map(|user| n_test(cols.user_degree(user))).sum();
     let mut train = ColumnarBuilder::new(matrix.num_users(), matrix.num_items());
     let mut test = ColumnarBuilder::new(matrix.num_users(), matrix.num_items());
-    train.reserve(rows - rows / every_nth);
-    test.reserve(rows / every_nth);
-    for u in 0..matrix.num_users() {
-        let user = UserId(id32(u));
+    train.reserve(cols.num_rows() - test_rows);
+    test.reserve(test_rows);
+    let mut held = Vec::new();
+    for user in users {
         let items = cols.items_of(user);
         let ratings = cols.ratings_of(user);
         let stamps = cols.timestamps_of(user);
+        held.clear();
+        hold_out(items.len(), &mut held);
+        debug_assert_eq!(held.len(), n_test(items.len()), "hold_out disagrees with n_test");
+        let mut next_held = held.iter().copied().peekable();
         for (p, &item) in items.iter().enumerate() {
             let rating = if ratings[p].is_nan() { None } else { Some(ratings[p]) };
-            let timestamp = if stamps[p] == NO_TIMESTAMP { None } else { Some(stamps[p]) };
-            let held = items.len() >= 2 && p % every_nth == every_nth - 1;
-            if held {
-                test.push(user, item, rating, timestamp);
-            } else {
-                train.push(user, item, rating, timestamp);
-            }
+            let timestamp = (keep_timestamps && stamps[p] != NO_TIMESTAMP).then_some(stamps[p]);
+            let side = if next_held.next_if_eq(&p).is_some() { &mut test } else { &mut train };
+            side.push(user, item, rating, timestamp);
         }
     }
     Split {
@@ -168,6 +151,7 @@ pub fn systematic_holdout(matrix: &InteractionMatrix, every_nth: usize) -> Split
 mod tests {
     use super::*;
     use crate::ids::ItemId;
+    use crate::interactions::Interaction;
 
     fn dense_matrix(users: usize, items_per_user: usize) -> InteractionMatrix {
         let mut v = Vec::new();

@@ -5,7 +5,7 @@
 
 use kgrec_data::columnar::NO_TIMESTAMP;
 use kgrec_data::shard::{even_ranges, ShardedDataset};
-use kgrec_data::{Interaction, InteractionMatrix, ItemId, UserId};
+use kgrec_data::{ColumnarInteractions, Interaction, InteractionMatrix, ItemId, UserId};
 use kgrec_graph::{CsrAdjacency, EntityId, KgBuilder, RelationId, Triple};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -72,6 +72,69 @@ fn reference_rows(rows: &[Interaction]) -> BTreeMap<(u32, u32), Payload> {
         map.entry((it.user.0, it.item.0)).or_insert((it.rating, it.timestamp));
     }
     map
+}
+
+/// Where the first non-sentinel value of a payload column lands among
+/// `rows` sorted rows: 0 row zero, 1 the middle, 2 the last row, 3 never.
+fn first_value_row(mode: u8, rows: usize) -> Option<usize> {
+    match mode {
+        0 => Some(0),
+        1 => Some(rows / 2),
+        2 => Some(rows - 1),
+        _ => None,
+    }
+}
+
+/// Sorted distinct rows whose ratings and timestamps are sentinels up to
+/// a chosen first row (see [`first_value_row`]), then set where `later`
+/// says so.
+fn arb_payload_rows() -> impl Strategy<Value = (usize, usize, Vec<Interaction>)> {
+    (1usize..12, 1usize..20, 0u8..4, 0u8..4)
+        .prop_flat_map(|(nu, ni, r_mode, t_mode)| {
+            let keys = prop::collection::btree_set((0..nu as u32, 0..ni as u32), 1..80);
+            let later = prop::collection::vec((any::<bool>(), any::<bool>()), 80);
+            (Just(nu), Just(ni), Just(r_mode), Just(t_mode), keys, later)
+        })
+        .prop_map(|(nu, ni, r_mode, t_mode, keys, later)| {
+            let first_r = first_value_row(r_mode, keys.len());
+            let first_t = first_value_row(t_mode, keys.len());
+            let rows = keys
+                .into_iter()
+                .enumerate()
+                .map(|(k, (u, i))| {
+                    let rated = first_r.is_some_and(|f| k == f || (k > f && later[k].0));
+                    let stamped = first_t.is_some_and(|f| k == f || (k > f && later[k].1));
+                    Interaction {
+                        user: UserId(u),
+                        item: ItemId(i),
+                        rating: rated.then_some((k % 5 + 1) as f32),
+                        timestamp: stamped.then_some(k as u64),
+                    }
+                })
+                .collect();
+            (nu, ni, rows)
+        })
+}
+
+/// The store with every column stored in full, sentinels included — the
+/// layout every store had before absent payload columns.
+fn fully_stored(c: &ColumnarInteractions, rows: &[Interaction]) -> ColumnarInteractions {
+    let mut i_offsets = vec![0u32];
+    let mut i_users = Vec::new();
+    for i in 0..c.num_items() as u32 {
+        i_users.extend_from_slice(c.users_of(ItemId(i)));
+        i_offsets.push(i_users.len() as u32);
+    }
+    ColumnarInteractions::from_raw_parts(
+        c.num_users(),
+        c.num_items(),
+        c.u_offsets().to_vec(),
+        rows.iter().map(|it| it.item).collect(),
+        rows.iter().map(|it| it.rating.unwrap_or(f32::NAN)).collect(),
+        rows.iter().map(|it| it.timestamp.unwrap_or(NO_TIMESTAMP)).collect(),
+        i_offsets,
+        i_users,
+    )
 }
 
 /// A small KG whose item entities line up with the interaction items:
@@ -219,6 +282,57 @@ proptest! {
             built = built.append(batch);
         }
         prop_assert_eq!(built.columnar().digest(), one_shot.columnar().digest());
+    }
+
+    /// Payload columns are stored only once a non-sentinel value arrives,
+    /// wherever it arrives: the accessors still return every row's value,
+    /// the digest equals the fully stored layout's, only stored columns
+    /// count in `memory_bytes`, and `append` builds the one-shot store.
+    #[test]
+    fn payload_columns_match_fully_stored_reference(
+        (nu, ni, rows) in arb_payload_rows(),
+        cut_seed in 0usize..1000,
+    ) {
+        let c = ColumnarInteractions::from_interactions(nu, ni, &rows);
+        prop_assert!(c.validate().is_empty());
+
+        let mut row = 0;
+        for u in 0..nu as u32 {
+            let user = UserId(u);
+            let ratings = c.ratings_of(user);
+            let stamps = c.timestamps_of(user);
+            prop_assert_eq!(ratings.len(), c.user_degree(user));
+            prop_assert_eq!(stamps.len(), c.user_degree(user));
+            for (p, (r, &t)) in ratings.iter().zip(stamps).enumerate() {
+                let want = rows[row + p];
+                prop_assert_eq!(r.to_bits(), want.rating.unwrap_or(f32::NAN).to_bits());
+                prop_assert_eq!(t, want.timestamp.unwrap_or(NO_TIMESTAMP));
+            }
+            row += c.user_degree(user);
+        }
+
+        let full = fully_stored(&c, &rows);
+        prop_assert!(full.validate().is_empty());
+        prop_assert_eq!(c.digest(), full.digest());
+        let n = rows.len();
+        let index_bytes = full.memory_bytes() - n * (4 + 8);
+        let rated = rows.iter().any(|it| it.rating.is_some());
+        let stamped = rows.iter().any(|it| it.timestamp.is_some());
+        prop_assert_eq!(
+            c.memory_bytes(),
+            index_bytes + usize::from(rated) * n * 4 + usize::from(stamped) * n * 8
+        );
+
+        let cut = cut_seed % (n + 1);
+        let grown = ColumnarInteractions::from_interactions(nu, ni, &rows[..cut]).append(&rows[cut..]);
+        prop_assert_eq!(grown.digest(), c.digest());
+        prop_assert_eq!(grown.memory_bytes(), c.memory_bytes());
+        for u in 0..nu as u32 {
+            let user = UserId(u);
+            let bits = |s: &[f32]| s.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(grown.ratings_of(user)), bits(c.ratings_of(user)));
+            prop_assert_eq!(grown.timestamps_of(user), c.timestamps_of(user));
+        }
     }
 
     /// `even_ranges` tiles `0..len` exactly: contiguous, disjoint, in
