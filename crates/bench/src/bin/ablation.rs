@@ -20,16 +20,44 @@
 //! variant count. Results are bit-identical for every thread count.
 
 use kgrec_bench::{
-    evaluate_model, par, preflight_check, print_eval_table_with, standard_split, threads_from_args,
-    EvalRow,
+    evaluate_model_supervised, par, preflight_check, print_eval_table, standard_split,
+    threads_from_args, EvalRow, ModelReport,
 };
-use kgrec_core::Recommender;
+use kgrec_core::{Recommender, SupervisorConfig};
 use kgrec_data::split::Split;
 use kgrec_data::synth::{generate, ScenarioConfig, SyntheticDataset};
 use kgrec_models::embedding::{KgeBackend, KgeRecommender};
 use kgrec_models::registry::kgcn_aggregator_ablation;
 use kgrec_models::unified::{Kgcn, KgcnConfig, RippleNet, RippleNetConfig};
 use std::sync::Mutex;
+
+/// Evaluates one variant under supervision.
+fn evaluate(
+    model: &mut dyn Recommender,
+    synth: &SyntheticDataset,
+    split: &Split,
+    threads: usize,
+) -> ModelReport {
+    evaluate_model_supervised(model, synth, split, 11, &SupervisorConfig::default(), threads, None)
+}
+
+/// Relabels a usable report's row with its variant label. An unusable
+/// variant prints its status and reason to stderr instead, so stdout
+/// stays the table of usable rows.
+fn labeled_row(report: ModelReport, label: &str) -> Option<EvalRow> {
+    let ModelReport { model, outcome, row, .. } = report;
+    if row.is_none() {
+        eprintln!(
+            "ablation: {model} ({label}) {}: {}",
+            outcome.status.label(),
+            outcome.reason.as_deref().unwrap_or("no reason recorded")
+        );
+    }
+    row.map(|mut r| {
+        r.family = label.to_owned();
+        r
+    })
+}
 
 /// Evaluates the ablation variants on the pool, relabels each row with
 /// its variant label, and keeps the variant order.
@@ -42,20 +70,16 @@ fn run_variants(
     let labels: Vec<String> = variants.iter().map(|(_, l)| l.clone()).collect();
     let slots: Vec<Mutex<Box<dyn Recommender>>> =
         variants.into_iter().map(|(m, _)| Mutex::new(m)).collect();
-    let rows = par::par_map(&slots, threads, |_, slot| {
+    let reports = par::par_map(&slots, threads, |_, slot| {
         let mut model = slot.lock().expect("variant slot poisoned");
         // Inner protocols stay serial here; the pool is already busy
         // with one worker per variant.
-        evaluate_model(model.as_mut(), synth, split, 11, 1)
+        evaluate(model.as_mut(), synth, split, 1)
     });
-    rows.into_iter()
+    reports
+        .into_iter()
         .zip(labels)
-        .filter_map(|(row, label)| {
-            row.map(|mut r| {
-                r.family = label;
-                r
-            })
-        })
+        .filter_map(|(report, label)| labeled_row(report, &label))
         .collect()
 }
 
@@ -77,7 +101,7 @@ fn main() {
         .map(|(m, l)| (m, l.to_owned()))
         .collect();
     let rows = run_variants(variants, &synth, &split, threads);
-    print_eval_table_with("KGCN aggregator ablation (Eqs. 30-33)", &rows, show_timing);
+    print_eval_table("KGCN aggregator ablation (Eqs. 30-33)", &rows, show_timing);
 
     // RippleNet hops.
     let variants: Vec<(Box<dyn Recommender>, String)> = [1usize, 2, 3]
@@ -88,7 +112,7 @@ fn main() {
         })
         .collect();
     let rows = run_variants(variants, &synth, &split, threads);
-    print_eval_table_with("RippleNet hop-depth ablation", &rows, show_timing);
+    print_eval_table("RippleNet hop-depth ablation", &rows, show_timing);
 
     // Label-smoothness weight.
     let variants: Vec<(Box<dyn Recommender>, String)> = [0.0f32, 0.1, 0.5, 1.0]
@@ -99,7 +123,7 @@ fn main() {
         })
         .collect();
     let rows = run_variants(variants, &synth, &split, threads);
-    print_eval_table_with("KGCN-LS label-smoothness weight", &rows, show_timing);
+    print_eval_table("KGCN-LS label-smoothness weight", &rows, show_timing);
 
     // KGE backends inside the CFKG formulation (survey §6).
     let variants: Vec<(Box<dyn Recommender>, String)> = KgeBackend::all()
@@ -110,7 +134,7 @@ fn main() {
         })
         .collect();
     let rows = run_variants(variants, &synth, &split, threads);
-    print_eval_table_with("KGE backend comparison (CFKG formulation)", &rows, show_timing);
+    print_eval_table("KGE backend comparison (CFKG formulation)", &rows, show_timing);
 
     // User side information (survey §6): same model, graph with and
     // without homophilous social links. Scenarios differ per variant, so
@@ -124,10 +148,7 @@ fn main() {
         let split_s = standard_split(&synth_s, 7);
         preflight_check(&synth_s, &split_s);
         let mut m = KgeRecommender::with_backend(KgeBackend::TransE);
-        if let Some(mut row) = evaluate_model(&mut m, &synth_s, &split_s, 11, threads) {
-            row.family = label.to_owned();
-            rows.push(row);
-        }
+        rows.extend(labeled_row(evaluate(&mut m, &synth_s, &split_s, threads), label));
     }
-    print_eval_table_with("user side information (sparse regime)", &rows, show_timing);
+    print_eval_table("user side information (sparse regime)", &rows, show_timing);
 }

@@ -50,9 +50,9 @@ use kgrec_bench::bench_report::{BenchReport, BENCH_PATH};
 use kgrec_bench::doubles::{NanBot, PanicBot, RecoverBot};
 use kgrec_bench::storage_drill::run_storage_drill;
 use kgrec_bench::{
-    checkpoint_dir_from_args, evaluate_roster_supervised_checkpointed, outcome_counts, par,
-    preflight_check, preflight_report, print_eval_table_with, print_outcome_summary_with,
-    standard_split, threads_from_args, EvalRow, ModelReport,
+    checkpoint_dir_from_args, evaluate_roster_supervised, outcome_counts, par, preflight_check,
+    preflight_report, print_eval_table, print_outcome_summary, standard_split, threads_from_args,
+    EvalRow, ModelReport,
 };
 use kgrec_core::{Recommender, SupervisorConfig};
 use kgrec_data::synth::{generate, ScenarioConfig};
@@ -120,7 +120,7 @@ fn run_suite(cfg: &SuiteConfig) -> (Vec<(String, Vec<ModelReport>)>, f64) {
             roster.push(Box::new(RecoverBot::new(1)));
         }
         let scenario_root = cfg.checkpoint_root.as_ref().map(|r| r.join(&scenario.name));
-        let reports = evaluate_roster_supervised_checkpointed(
+        let reports = evaluate_roster_supervised(
             roster,
             &synth,
             &split,
@@ -143,8 +143,8 @@ fn run_suite(cfg: &SuiteConfig) -> (Vec<(String, Vec<ModelReport>)>, f64) {
                 }
             }
             let rows: Vec<EvalRow> = reports.iter().filter_map(|r| r.row.clone()).collect();
-            print_eval_table_with(&scenario.name, &rows, cfg.show_timing);
-            print_outcome_summary_with(&scenario.name, &reports, cfg.show_timing);
+            print_eval_table(&scenario.name, &rows, cfg.show_timing);
+            print_outcome_summary(&scenario.name, &reports, cfg.show_timing);
         }
         runs.push((scenario.name.clone(), reports));
     }

@@ -31,7 +31,7 @@
 use kgrec_bench::threads_from_args;
 use kgrec_check::{default_model_hyperparams, CheckBundle, CheckReport};
 use kgrec_core::protocol::evaluate_ctr_par;
-use kgrec_core::supervisor::{supervise_fit_checkpointed, SupervisorConfig};
+use kgrec_core::supervisor::{supervise_fit, SupervisorConfig};
 use kgrec_core::Recommender;
 use kgrec_data::negative::labeled_eval_set;
 use kgrec_data::split::systematic_holdout;
@@ -207,8 +207,7 @@ fn main() {
     let sup = SupervisorConfig::default();
     let t0 = Instant::now();
     let mut model = MostPop::new();
-    let cold =
-        supervise_fit_checkpointed(&mut model, &synth.dataset, &split.train, &sup, Some(&store));
+    let cold = supervise_fit(&mut model, &synth.dataset, &split.train, &sup, Some(&store));
     if !cold.is_usable() {
         println!("  fit: FAILED ({:?})", cold.status);
         gates_green = false;
@@ -264,13 +263,7 @@ fn main() {
         KgDataset::new(grown, synth.dataset.graph.clone(), synth.dataset.item_entities.clone());
     let grown_split = systematic_holdout(&grown_dataset.interactions, HOLDOUT_EVERY_NTH);
     let mut resumed = MostPop::new();
-    let warm = supervise_fit_checkpointed(
-        &mut resumed,
-        &grown_dataset,
-        &grown_split.train,
-        &sup,
-        Some(&store),
-    );
+    let warm = supervise_fit(&mut resumed, &grown_dataset, &grown_split.train, &sup, Some(&store));
     let warm_ok = warm.is_usable() && warm.attempts == 0;
     if !warm_ok {
         println!(

@@ -142,7 +142,7 @@ mod tests {
     fn drill(model: &mut dyn Recommender) -> kgrec_core::FitOutcome {
         let synth = generate(&ScenarioConfig::tiny(), 5);
         let train = synth.dataset.interactions.clone();
-        supervise_fit(model, &synth.dataset, &train, &SupervisorConfig::default())
+        supervise_fit(model, &synth.dataset, &train, &SupervisorConfig::default(), None)
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! `eval_suite --bench` additionally records the perf trajectory to
 //! `BENCH_eval.json` via [`bench_report`], and `kernel_bench` records
 //! kernel-level timings to `BENCH_kernels.json` via [`kernel_report`].
+//!
+//! Models are evaluated through one path: [`evaluate_model_supervised`]
+//! for a single model (`ablation`, `examples/model_zoo`) and
+//! [`evaluate_roster_supervised`] for a roster (`eval_suite`). Both train
+//! under [`kgrec_core::supervise_fit`] and take an optional checkpoint
+//! root (`--checkpoint-dir`) for load-or-train runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,8 +41,7 @@ use kgrec_check::rules::RegistryConsistency;
 use kgrec_check::{default_model_hyperparams, CheckBundle, CheckReport};
 use kgrec_core::protocol::{evaluate_ctr_par, evaluate_topk_par};
 use kgrec_core::{
-    panic_message, supervise_fit_checkpointed, FitOutcome, FitStatus, Recommender,
-    SupervisorConfig, TrainContext,
+    panic_message, supervise_fit, FitOutcome, FitStatus, Recommender, SupervisorConfig,
 };
 use kgrec_data::negative::labeled_eval_set;
 use kgrec_data::split::{ratio_split, Split};
@@ -47,6 +52,22 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// Finds the first `--name V` / `--name=V` flag in `args`: `None` when
+/// absent, `Some(None)` when `--name` is the last argument.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Option<Option<&'a str>> {
+    let inline = format!("{name}=");
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == name {
+            return Some(it.next().map(String::as_str));
+        }
+        if let Some(v) = a.strip_prefix(&inline) {
+            return Some(Some(v));
+        }
+    }
+    None
+}
+
 /// Parses a `--threads N` / `--threads=N` flag from a raw argument list.
 ///
 /// Returns `None` when absent (callers fall through to
@@ -56,22 +77,12 @@ use std::time::{Duration, Instant};
 /// Panics on a malformed or zero value — a typo'd thread count should
 /// kill the run, not silently serialize it.
 pub fn threads_from_args(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let raw = if a == "--threads" {
-            it.next().cloned()
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            Some(v.to_owned())
-        } else {
-            continue;
-        };
-        let raw = raw.unwrap_or_else(|| panic!("--threads needs a value (e.g. --threads 4)"));
-        match raw.parse::<usize>() {
-            Ok(n) if n > 0 => return Some(n),
-            _ => panic!("invalid --threads value {raw:?} (want a positive integer)"),
-        }
+    let raw = flag_value(args, "--threads")?
+        .unwrap_or_else(|| panic!("--threads needs a value (e.g. --threads 4)"));
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => Some(n),
+        _ => panic!("invalid --threads value {raw:?} (want a positive integer)"),
     }
-    None
 }
 
 /// Parses a `--checkpoint-dir DIR` / `--checkpoint-dir=DIR` flag from a
@@ -80,20 +91,9 @@ pub fn threads_from_args(args: &[String]) -> Option<usize> {
 /// # Panics
 /// Panics when the flag is present without a value.
 pub fn checkpoint_dir_from_args(args: &[String]) -> Option<std::path::PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let raw = if a == "--checkpoint-dir" {
-            it.next().cloned()
-        } else if let Some(v) = a.strip_prefix("--checkpoint-dir=") {
-            Some(v.to_owned())
-        } else {
-            continue;
-        };
-        let raw =
-            raw.unwrap_or_else(|| panic!("--checkpoint-dir needs a value (a directory path)"));
-        return Some(std::path::PathBuf::from(raw));
-    }
-    None
+    let raw = flag_value(args, "--checkpoint-dir")?
+        .unwrap_or_else(|| panic!("--checkpoint-dir needs a value (a directory path)"));
+    Some(std::path::PathBuf::from(raw))
 }
 
 /// One row of an evaluation table.
@@ -198,32 +198,19 @@ pub fn model_slug(name: &str) -> String {
 /// `threads` pool workers (1 = serial; metrics are bit-identical either
 /// way).
 ///
-/// Unlike [`evaluate_model`] this never panics and never silently drops
-/// a model: panics, divergence, non-finite scores and budget overruns
-/// all come back as a [`ModelReport`] whose outcome says what happened.
-/// Evaluation runs under its own `catch_unwind` — a model that trains
-/// but panics while ranking is downgraded to
-/// [`FitStatus::Failed`] with an `evaluation panicked` reason.
+/// This never panics and never silently drops a model: panics,
+/// divergence, non-finite scores and budget overruns all come back as a
+/// [`ModelReport`] whose outcome says what happened. Evaluation runs
+/// under its own `catch_unwind` — a model that trains but panics while
+/// ranking is downgraded to [`FitStatus::Failed`] with an
+/// `evaluation panicked` reason.
+///
+/// With a `checkpoint_root`, the model gets a per-model checkpoint store
+/// under `<root>/<model-slug>` — a usable previous generation becomes a
+/// warm start (load-or-train), a fresh fit is saved back, and models that
+/// checkpoint during `fit` ([`Recommender::set_checkpoint_dir`])
+/// additionally resume epoch-level from `<root>/<model-slug>/epochs`.
 pub fn evaluate_model_supervised(
-    model: &mut dyn Recommender,
-    synth: &SyntheticDataset,
-    split: &Split,
-    seed: u64,
-    config: &SupervisorConfig,
-    threads: usize,
-) -> ModelReport {
-    evaluate_model_supervised_checkpointed(model, synth, split, seed, config, threads, None)
-}
-
-/// [`evaluate_model_supervised`] with crash-safe persistence: when
-/// `checkpoint_root` is given, the model gets a per-model checkpoint
-/// store under `<root>/<model-slug>` — a usable previous generation
-/// becomes a warm start (load-or-train), a fresh fit is saved back, and
-/// models that checkpoint during `fit`
-/// ([`Recommender::set_checkpoint_dir`]) additionally resume epoch-level
-/// from `<root>/<model-slug>/epochs`. With `None` this is exactly
-/// [`evaluate_model_supervised`].
-pub fn evaluate_model_supervised_checkpointed(
     model: &mut dyn Recommender,
     synth: &SyntheticDataset,
     split: &Split,
@@ -241,8 +228,7 @@ pub fn evaluate_model_supervised_checkpointed(
         model.set_checkpoint_dir(&dir.join("epochs"));
         kgrec_store::CheckpointStore::open(&dir).ok()
     });
-    let mut outcome =
-        supervise_fit_checkpointed(model, &synth.dataset, &split.train, config, store.as_ref());
+    let mut outcome = supervise_fit(model, &synth.dataset, &split.train, config, store.as_ref());
     let mut timings = PhaseTimings {
         fit_secs: outcome.elapsed.as_secs_f64(),
         fit_rows,
@@ -318,22 +304,10 @@ pub fn evaluate_model_supervised_checkpointed(
 /// catches anything that escapes (a poisoned shard). Either way exactly
 /// one [`ModelReport`] row degrades — the pool never deadlocks and no
 /// panic escapes to the caller.
+///
+/// With a `checkpoint_root`, each model checkpoints into
+/// `<checkpoint_root>/<model-slug>` (see [`evaluate_model_supervised`]).
 pub fn evaluate_roster_supervised(
-    roster: Vec<Box<dyn Recommender>>,
-    synth: &SyntheticDataset,
-    split: &Split,
-    seed: u64,
-    config: &SupervisorConfig,
-    threads: usize,
-) -> Vec<ModelReport> {
-    evaluate_roster_supervised_checkpointed(roster, synth, split, seed, config, threads, None)
-}
-
-/// [`evaluate_roster_supervised`] with crash-safe persistence: each model
-/// checkpoints into `<checkpoint_root>/<model-slug>` (see
-/// [`evaluate_model_supervised_checkpointed`]). With `None` this is
-/// exactly [`evaluate_roster_supervised`].
-pub fn evaluate_roster_supervised_checkpointed(
     roster: Vec<Box<dyn Recommender>>,
     synth: &SyntheticDataset,
     split: &Split,
@@ -350,7 +324,7 @@ pub fn evaluate_roster_supervised_checkpointed(
     let inner_threads = if threads > 1 { 1 } else { threads.max(1) };
     let results = par::par_map_catch(&slots, threads, |_, slot| {
         let mut model = slot.lock().expect("model slot poisoned");
-        evaluate_model_supervised_checkpointed(
+        evaluate_model_supervised(
             model.as_mut(),
             synth,
             split,
@@ -403,15 +377,11 @@ pub fn outcome_counts(reports: &[ModelReport]) -> [usize; 4] {
 /// Prints the per-model training-outcome table for one scenario: status,
 /// attempts, wall-clock, and the failure/degradation reason (`-` for
 /// clean first-attempt fits).
-pub fn print_outcome_summary(title: &str, reports: &[ModelReport]) {
-    print_outcome_summary_with(title, reports, true);
-}
-
-/// [`print_outcome_summary`] with an explicit timing switch: with
-/// `show_timing = false` the wall-clock column prints `-`, making the
-/// table byte-identical across machines and thread counts (the golden
+///
+/// With `show_timing = false` the wall-clock column prints `-`, making
+/// the table byte-identical across machines and thread counts (the golden
 /// regression test and the CI 1-vs-4-thread diff rely on this).
-pub fn print_outcome_summary_with(title: &str, reports: &[ModelReport], show_timing: bool) {
+pub fn print_outcome_summary(title: &str, reports: &[ModelReport], show_timing: bool) {
     println!("\n== {title}: training outcomes ==");
     println!(
         "{:<12} {:<9} {:<9} {:>8} {:>8}  reason",
@@ -437,48 +407,21 @@ pub fn print_outcome_summary_with(title: &str, reports: &[ModelReport], show_tim
     println!("   {ok} ok | {retried} retried | {degraded} degraded | {failed} failed");
 }
 
-/// Trains `model` on the split and evaluates it under both protocols on
-/// up to `threads` pool workers (1 = serial; metrics are bit-identical
-/// either way).
-///
-/// Returns `None` when the model cannot fit this dataset (e.g. DKN
-/// without token lists) — the caller skips the row. Unsupervised: a
-/// panicking `fit` propagates. The suite binaries use
-/// [`evaluate_model_supervised`] instead; this stays for callers that
-/// want failures to be loud (ablations over known-good configs).
-pub fn evaluate_model(
-    model: &mut dyn Recommender,
-    synth: &SyntheticDataset,
-    split: &Split,
-    seed: u64,
-    threads: usize,
-) -> Option<EvalRow> {
-    let ctx = TrainContext::new(&synth.dataset, &split.train);
-    let start = Instant::now();
-    if model.fit(&ctx).is_err() {
-        return None;
-    }
-    let fit_seconds = start.elapsed().as_secs_f64();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pairs = labeled_eval_set(&split.train, &split.test, 4, &mut rng);
-    let ctr = evaluate_ctr_par(model, &pairs, threads);
-    let topk = evaluate_topk_par(model, &split.train, &split.test, &[10], threads);
-    let family = family_of(model);
-    Some(EvalRow {
-        model: model.name(),
-        family,
-        auc: ctr.auc,
-        accuracy: ctr.accuracy,
-        recall_at_10: topk.cutoffs[0].recall,
-        ndcg_at_10: topk.cutoffs[0].ndcg,
-        hit_at_10: topk.cutoffs[0].hit_rate,
-        fit_seconds,
-    })
-}
-
 /// Standard split used across the harness: 20% per-user holdout.
 pub fn standard_split(synth: &SyntheticDataset, seed: u64) -> Split {
     ratio_split(&synth.dataset.interactions, 0.2, seed)
+}
+
+/// Runs the full `kglint` rule set over a scenario bundle: the split,
+/// the labeled evaluation pairs and the default model hyperparameters.
+fn preflight_lint(synth: &SyntheticDataset, split: &Split) -> CheckReport {
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    let pairs = labeled_eval_set(&split.train, &split.test, 4, &mut rng);
+    let bundle = CheckBundle::new(&synth.dataset)
+        .with_split(split)
+        .with_eval_pairs(&pairs)
+        .with_hyperparams(default_model_hyperparams());
+    CheckReport::run(&bundle)
 }
 
 /// Runs the full `kglint` rule set over a scenario bundle in strict mode
@@ -490,13 +433,7 @@ pub fn standard_split(synth: &SyntheticDataset, seed: u64) -> Split {
 /// # Panics
 /// Panics with the rendered report when the check fails.
 pub fn preflight_check(synth: &SyntheticDataset, split: &Split) {
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    let pairs = labeled_eval_set(&split.train, &split.test, 4, &mut rng);
-    let bundle = CheckBundle::new(&synth.dataset)
-        .with_split(split)
-        .with_eval_pairs(&pairs)
-        .with_hyperparams(default_model_hyperparams());
-    let report = CheckReport::run(&bundle);
+    let report = preflight_lint(synth, split);
     if report.fails(true) {
         panic!(
             "preflight kglint failed (strict) for scenario {}:\n{}",
@@ -512,13 +449,7 @@ pub fn preflight_check(synth: &SyntheticDataset, split: &Split) {
 /// supervised evaluation. Returns `true` when strict mode would have
 /// failed — i.e. when the injected corruption was detected.
 pub fn preflight_report(synth: &SyntheticDataset, split: &Split) -> bool {
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    let pairs = labeled_eval_set(&split.train, &split.test, 4, &mut rng);
-    let bundle = CheckBundle::new(&synth.dataset)
-        .with_split(split)
-        .with_eval_pairs(&pairs)
-        .with_hyperparams(default_model_hyperparams());
-    let report = CheckReport::run(&bundle);
+    let report = preflight_lint(synth, split);
     let dirty = report.fails(true);
     if dirty {
         println!(
@@ -548,15 +479,10 @@ pub fn preflight_registry() {
     }
 }
 
-/// Prints an evaluation table in a fixed-width layout.
-pub fn print_eval_table(title: &str, rows: &[EvalRow]) {
-    print_eval_table_with(title, rows, true);
-}
-
-/// [`print_eval_table`] with an explicit timing switch: with
+/// Prints an evaluation table in a fixed-width layout. With
 /// `show_timing = false` the `fit(s)` column prints `-` so the table is
 /// byte-identical across machines and thread counts.
-pub fn print_eval_table_with(title: &str, rows: &[EvalRow], show_timing: bool) {
+pub fn print_eval_table(title: &str, rows: &[EvalRow], show_timing: bool) {
     println!("\n== {title} ==");
     println!(
         "{:<12} {:<9} {:>7} {:>7} {:>8} {:>8} {:>7} {:>8}",
@@ -617,7 +543,16 @@ mod tests {
         let synth = generate(&ScenarioConfig::tiny(), 1);
         let split = standard_split(&synth, 2);
         let mut model = MostPop::new();
-        let row = evaluate_model(&mut model, &synth, &split, 3, 1).unwrap();
+        let report = evaluate_model_supervised(
+            &mut model,
+            &synth,
+            &split,
+            3,
+            &SupervisorConfig::default(),
+            1,
+            None,
+        );
+        let row = report.row.expect("MostPop fits the tiny scenario");
         assert_eq!(row.model, "MostPop");
         assert!(row.auc > 0.0 && row.auc <= 1.0);
         assert!(row.recall_at_10 >= 0.0 && row.recall_at_10 <= 1.0);
@@ -627,9 +562,23 @@ mod tests {
     fn evaluate_model_is_thread_count_invariant() {
         let synth = generate(&ScenarioConfig::tiny(), 1);
         let split = standard_split(&synth, 2);
-        let serial = evaluate_model(&mut MostPop::new(), &synth, &split, 3, 1).unwrap();
+        let row = |threads| {
+            let config = SupervisorConfig::default();
+            evaluate_model_supervised(
+                &mut MostPop::new(),
+                &synth,
+                &split,
+                3,
+                &config,
+                threads,
+                None,
+            )
+            .row
+            .expect("MostPop fits the tiny scenario")
+        };
+        let serial = row(1);
         for threads in [2, 4, 7] {
-            let par = evaluate_model(&mut MostPop::new(), &synth, &split, 3, threads).unwrap();
+            let par = row(threads);
             assert_eq!(par.auc, serial.auc, "threads={threads}");
             assert_eq!(par.accuracy, serial.accuracy);
             assert_eq!(par.recall_at_10, serial.recall_at_10);
@@ -665,6 +614,10 @@ mod tests {
         assert_eq!(threads_from_args(&to_args(&["--quick", "--threads", "4"])), Some(4));
         assert_eq!(threads_from_args(&to_args(&["--threads=7"])), Some(7));
         assert_eq!(threads_from_args(&to_args(&["--quick"])), None);
+        let dir = |v: &[&str]| checkpoint_dir_from_args(&to_args(v));
+        assert_eq!(dir(&["--quick", "--checkpoint-dir", "ck"]), Some("ck".into()));
+        assert_eq!(dir(&["--checkpoint-dir=a/b", "--threads", "2"]), Some("a/b".into()));
+        assert_eq!(dir(&["--threads", "2"]), None);
     }
 
     #[test]
@@ -679,6 +632,7 @@ mod tests {
             3,
             &SupervisorConfig::default(),
             1,
+            None,
         );
         assert_eq!(report.outcome.status, FitStatus::Ok);
         let row = report.row.expect("usable outcome must carry metrics");
@@ -702,6 +656,7 @@ mod tests {
             3,
             &SupervisorConfig::default(),
             1,
+            None,
         );
         std::panic::set_hook(hook);
         assert_eq!(report.outcome.status, FitStatus::Failed);
@@ -721,9 +676,10 @@ mod tests {
                 Box::new(kgrec_models::baselines::BprMf::default_config()),
             ]
         };
-        let serial = evaluate_roster_supervised(roster(), &synth, &split, 3, &config, 1);
+        let serial = evaluate_roster_supervised(roster(), &synth, &split, 3, &config, 1, None);
         for threads in [2, 4] {
-            let par = evaluate_roster_supervised(roster(), &synth, &split, 3, &config, threads);
+            let par =
+                evaluate_roster_supervised(roster(), &synth, &split, 3, &config, threads, None);
             assert_eq!(par.len(), serial.len());
             for (p, s) in par.iter().zip(&serial) {
                 assert_eq!(p.model, s.model, "roster order must be preserved");
@@ -747,8 +703,8 @@ mod tests {
             Box::new(crate::doubles::PanicBot),
             Box::new(kgrec_models::baselines::ItemKnn::new(10)),
         ];
-        let reports =
-            evaluate_roster_supervised(roster, &synth, &split, 3, &SupervisorConfig::default(), 4);
+        let config = SupervisorConfig::default();
+        let reports = evaluate_roster_supervised(roster, &synth, &split, 3, &config, 4, None);
         std::panic::set_hook(hook);
         assert_eq!(outcome_counts(&reports), [2, 0, 0, 1]);
         assert_eq!(reports[1].model, "PanicBot");
@@ -764,15 +720,16 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         let mut pop = MostPop::new();
         let mut bot = crate::doubles::NanBot::default();
+        let config = SupervisorConfig::default();
         let reports = vec![
-            evaluate_model_supervised(&mut pop, &synth, &split, 3, &SupervisorConfig::default(), 1),
-            evaluate_model_supervised(&mut bot, &synth, &split, 3, &SupervisorConfig::default(), 1),
+            evaluate_model_supervised(&mut pop, &synth, &split, 3, &config, 1, None),
+            evaluate_model_supervised(&mut bot, &synth, &split, 3, &config, 1, None),
         ];
         std::panic::set_hook(hook);
         assert_eq!(outcome_counts(&reports), [1, 0, 0, 1]);
         // Rendering must not panic on mixed outcomes, timing on or off.
-        print_outcome_summary("test", &reports);
-        print_outcome_summary_with("test", &reports, false);
+        print_outcome_summary("test", &reports, true);
+        print_outcome_summary("test", &reports, false);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use kgrec_core::panic_message;
 use kgrec_graph::{KgBuilder, KnowledgeGraph};
-use kgrec_kge::{train_checkpointed, TrainConfig, TransE};
+use kgrec_kge::{train_guarded, TrainConfig, TransE};
 use kgrec_linalg::DivergencePolicy;
 use kgrec_store::{inject_storage, CheckpointStore, StorageFault};
 use rand::rngs::StdRng;
@@ -91,7 +91,7 @@ fn drill_config() -> TrainConfig {
 /// The sequence: a full checkpointed training run populates `dir` with
 /// one generation per epoch; `fault` is injected; a fresh model (with a
 /// *different* init seed, which a correct resume must ignore) restarts
-/// `train_checkpointed` against the damaged store. The drill passes when
+/// `train_guarded` against the damaged store. The drill passes when
 /// recovery neither panics nor loads garbage: the restarted run must end
 /// bit-identical to the uninterrupted one.
 pub fn run_storage_drill(fault: StorageFault, dir: &Path) -> DrillOutcome {
@@ -117,7 +117,7 @@ pub fn run_storage_drill(fault: StorageFault, dir: &Path) -> DrillOutcome {
     let mut rng = StdRng::seed_from_u64(7);
     let mut reference =
         TransE::new(&mut rng, graph.num_entities(), graph.num_relations(), DIM, 1.0);
-    train_checkpointed(&mut reference, &graph, &config, DivergencePolicy::default(), &store);
+    train_guarded(&mut reference, &graph, &config, DivergencePolicy::default(), Some(&store));
 
     if let Err(e) = inject_storage(&store, fault) {
         return DrillOutcome {
@@ -137,8 +137,8 @@ pub fn run_storage_drill(fault: StorageFault, dir: &Path) -> DrillOutcome {
         let mut rng = StdRng::seed_from_u64(4242);
         let mut resumed =
             TransE::new(&mut rng, graph2.num_entities(), graph2.num_relations(), DIM, 1.0);
-        let report =
-            train_checkpointed(&mut resumed, &graph2, &config, DivergencePolicy::default(), &store);
+        let policy = DivergencePolicy::default();
+        let report = train_guarded(&mut resumed, &graph2, &config, policy, Some(&store));
         (resumed, report)
     }));
     match caught {

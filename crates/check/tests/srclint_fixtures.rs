@@ -147,11 +147,11 @@ fn sa006_unwrap_in_fit_paths_only() {
                fn score(&self) -> f32 {\n\
                self.graph.as_ref().unwrap().weight()\n\
                }\n\
-               fn train_with(&mut self) {\n\
+               fn train_with_from(&mut self) {\n\
                let gb = pool.lock().unwrap();\n\
                }\n";
     let diags = scan_source("crates/models/src/fixture.rs", src);
-    // `score` is not a covered fit path; `fit` and `train_with` are.
+    // `score` is not a covered fit path; `fit` and `train_with_from` are.
     assert_eq!(located(&diags), [("SA006", 2), ("SA006", 3), ("SA006", 9)], "{diags:?}");
 }
 

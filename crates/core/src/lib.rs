@@ -14,8 +14,9 @@
 //! * [`protocol`] — the two evaluation protocols of the surveyed papers:
 //!   CTR-style pointwise evaluation and full-ranking top-K evaluation;
 //! * [`supervisor`] — the training supervisor: panic-isolated,
-//!   budgeted, retry-with-backoff execution of any `fit`
-//!   ([`supervisor::supervise_fit`]), reporting the
+//!   budgeted, retry-with-backoff execution of any `fit`, with an
+//!   optional checkpoint warm start ([`supervisor::supervise_fit`]),
+//!   reporting the
 //!   `ok → retried → degraded → failed` state machine the evaluation
 //!   harness renders per model;
 //! * [`explain`] — the explanation engine: reasoning paths between a user
@@ -38,8 +39,5 @@ pub mod taxonomy;
 pub use error::CoreError;
 pub use explain::{Explainer, Explanation};
 pub use recommender::{Recommender, TrainContext};
-pub use supervisor::{
-    panic_message, supervise_fit, supervise_fit_checkpointed, FitOutcome, FitStatus,
-    SupervisorConfig,
-};
+pub use supervisor::{panic_message, supervise_fit, FitOutcome, FitStatus, SupervisorConfig};
 pub use taxonomy::{Taxonomy, Technique, UsageType};

@@ -23,6 +23,9 @@
 //!    a success degrades the outcome, exceeding it with no success fails
 //!    it.
 //!
+//! Given a checkpoint store, a verified restore replaces the fit (a warm
+//! start) and a usable fit is saved back.
+//!
 //! The outcome is the state machine of `DESIGN.md` §"Failure handling":
 //! `ok → retried(backoff) → degraded → failed`, reported as a
 //! [`FitOutcome`] the harness renders as a per-model row instead of dying.
@@ -184,22 +187,15 @@ fn probe_scores(
     probe_grid(users, items, |u, i| model.score(UserId(u as u32), ItemId(i as u32)))
 }
 
-/// Trains `model` under supervision; see the module docs for the policy.
-///
-/// The [`TrainContext`] is constructed *inside* the panic isolation, so
-/// corrupted bundles that trip its debug assertions surface as
-/// [`CoreError::Panicked`] rather than killing the caller.
-///
-/// Retries assume `fit` rebuilds model state from scratch (every model in
-/// the workspace does): after a mid-fit panic the half-written state is
-/// discarded by the next attempt.
-pub fn supervise_fit(
+/// The bounded retry loop of [`supervise_fit`]; `start` is the
+/// supervisor's clock, so the budget also covers a failed warm start.
+fn fit_with_retries(
     model: &mut dyn Recommender,
     dataset: &KgDataset,
     train: &InteractionMatrix,
     config: &SupervisorConfig,
+    start: Instant,
 ) -> FitOutcome {
-    let start = Instant::now();
     let mut attempts = 0u32;
     let mut last_err: CoreError;
     let mut overshoot: Option<Duration> = None;
@@ -294,7 +290,15 @@ pub fn supervise_fit(
     }
 }
 
-/// [`supervise_fit`] with crash-safe persistence layered on top.
+/// Trains `model` under supervision; see the module docs for the policy.
+///
+/// The [`TrainContext`] is constructed *inside* the panic isolation, so
+/// corrupted bundles that trip its debug assertions surface as
+/// [`CoreError::Panicked`] rather than killing the caller.
+///
+/// Retries assume `fit` rebuilds model state from scratch (every model in
+/// the workspace does): after a mid-fit panic the half-written state is
+/// discarded by the next attempt.
 ///
 /// When `store` is `Some` and the model exposes a persistence handle
 /// ([`Recommender::persistable_mut`]), the supervisor first attempts a
@@ -311,7 +315,7 @@ pub fn supervise_fit(
 /// a save failure is appended to the outcome's reason but does not change
 /// its status — persistence is a convenience layered on training, not a
 /// gate on it.
-pub fn supervise_fit_checkpointed(
+pub fn supervise_fit(
     model: &mut dyn Recommender,
     dataset: &KgDataset,
     train: &InteractionMatrix,
@@ -346,7 +350,8 @@ pub fn supervise_fit_checkpointed(
             // `fit` rebuilds from scratch, discarding the bad restore.
         }
     }
-    let mut outcome = supervise_fit(model, dataset, train, config);
+
+    let mut outcome = fit_with_retries(model, dataset, train, config, start);
     if outcome.is_usable() {
         if let (Some(store), Some(p)) = (store, model.persistable()) {
             let note = format!("supervised fit: {}", outcome.status.label());
@@ -357,9 +362,9 @@ pub fn supervise_fit_checkpointed(
                     None => warning,
                 });
             }
+            outcome.elapsed = start.elapsed();
         }
     }
-    outcome.elapsed = start.elapsed();
     outcome
 }
 
@@ -460,7 +465,7 @@ mod tests {
     fn run(model: &mut dyn Recommender, config: &SupervisorConfig) -> FitOutcome {
         let ds = toy_dataset();
         let train = ds.interactions.clone();
-        supervise_fit(model, &ds, &train, config)
+        supervise_fit(model, &ds, &train, config, None)
     }
 
     #[test]
@@ -772,7 +777,7 @@ mod tests {
     ) -> FitOutcome {
         let ds = toy_dataset();
         let train = ds.interactions.clone();
-        supervise_fit_checkpointed(model, &ds, &train, &SupervisorConfig::default(), store)
+        supervise_fit(model, &ds, &train, &SupervisorConfig::default(), store)
     }
 
     #[test]

@@ -1,34 +1,17 @@
-//! Epoch-level checkpointed training: [`train_guarded`] semantics plus a
-//! [`CheckpointStore`] the trainer saves into after every healthy epoch
-//! and resumes from on restart.
+//! The epoch-checkpoint snapshot format used by
+//! [`crate::trainer::train_guarded`] when it is given a
+//! [`kgrec_store::CheckpointStore`].
 //!
 //! Each checkpoint snapshot carries, alongside the model's own sections, a
 //! `trainer` section with the number of completed epochs and a fingerprint
 //! of the training configuration (seed, learning rate, epoch target,
-//! triple count). On [`train_checkpointed`]:
-//!
-//! 1. **Resume** — the store's most recent usable generation is restored
-//!    when its fingerprint matches; training continues from the recorded
-//!    epoch. The RNG draws of completed epochs are replayed (see
-//!    [`crate::trainer::train_with_from`]), so a resumed run finishes with
-//!    parameters bit-identical to an uninterrupted one.
-//! 2. **Train** — every healthy epoch is checkpointed (atomic write, new
-//!    generation, last-good pointer). A failed save never aborts training;
-//!    it is counted in the report.
-//! 3. **Abort** — on divergence the model rolls back to the best in-memory
-//!    snapshot, exactly like [`train_guarded`]; when none exists (the
-//!    first epoch after a resume exploded) the store's last good
-//!    generation is restored from disk instead of discarding the model.
-//!
-//! [`train_guarded`]: crate::trainer::train_guarded
+//! triple count). A generation is only resumed under the configuration
+//! that wrote it; the resume, per-epoch save and disk-fallback policy live
+//! in the trainer.
 
-use crate::model::KgeModel;
-use crate::trainer::{train_with_from, GuardedReport, TrainConfig, TrainControl};
+use crate::trainer::TrainConfig;
 use kgrec_graph::KnowledgeGraph;
-use kgrec_linalg::stability::{DivergencePolicy, LossMonitor, LossVerdict};
-use kgrec_store::{
-    config_hash, CheckpointStore, Persistable, Section, SnapshotReader, SnapshotWriter, StoreError,
-};
+use kgrec_store::{config_hash, Persistable, Section, SnapshotReader, SnapshotWriter, StoreError};
 
 /// Fingerprint of everything that determines the training trajectory: a
 /// checkpoint is only resumable under the configuration that produced it.
@@ -46,11 +29,11 @@ pub fn train_fingerprint(config: &TrainConfig, graph: &KnowledgeGraph) -> u64 {
 /// Restoring rejects snapshots whose trainer fingerprint differs before
 /// touching the model, so a checkpoint from another configuration can
 /// never contaminate a resume.
-struct TrainerSnapshot<'a, M: Persistable> {
-    model: &'a mut M,
-    epochs_done: u64,
-    fingerprint: u64,
-    seed: u64,
+pub(crate) struct TrainerSnapshot<'a, M: Persistable> {
+    pub(crate) model: &'a mut M,
+    pub(crate) epochs_done: u64,
+    pub(crate) fingerprint: u64,
+    pub(crate) seed: u64,
 }
 
 impl<M: Persistable> Persistable for TrainerSnapshot<'_, M> {
@@ -93,138 +76,14 @@ impl<M: Persistable> Persistable for TrainerSnapshot<'_, M> {
     }
 }
 
-/// What [`train_checkpointed`] did.
-#[derive(Debug, Clone)]
-pub struct CheckpointedReport {
-    /// The guarded-training outcome of the epochs that ran this session.
-    pub guarded: GuardedReport,
-    /// Generation the session warm-started from, if any.
-    pub resumed_from: Option<u64>,
-    /// First epoch of this session (0 for a cold start; equals the epoch
-    /// target when the checkpoint was already complete).
-    pub start_epoch: usize,
-    /// Checkpoints written this session.
-    pub saved: usize,
-    /// Checkpoint writes that failed. Training continues regardless; a
-    /// non-zero count means resume-on-crash protection is degraded.
-    pub save_errors: usize,
-    /// Generation restored from disk after an abort that had no in-memory
-    /// snapshot to roll back to, if disk recovery succeeded.
-    pub disk_rollback: Option<u64>,
-}
-
-impl CheckpointedReport {
-    /// Whether the final parameters are usable (training completed, or the
-    /// model was rolled back to a healthy state in memory or from disk).
-    #[must_use]
-    pub fn usable(&self) -> bool {
-        self.guarded.usable()
-    }
-}
-
-/// Trains like [`crate::trainer::train_guarded`], checkpointing every
-/// healthy epoch into `store` and resuming from the store's last good
-/// generation when one matches the configuration.
-pub fn train_checkpointed<M>(
-    model: &mut M,
-    graph: &KnowledgeGraph,
-    config: &TrainConfig,
-    policy: DivergencePolicy,
-    store: &CheckpointStore,
-) -> CheckpointedReport
-where
-    M: KgeModel + Clone + Persistable,
-{
-    let fingerprint = train_fingerprint(config, graph);
-    let mut resumed_from = None;
-    let mut start_epoch = 0usize;
-    {
-        let mut view = TrainerSnapshot { model, epochs_done: 0, fingerprint, seed: config.seed };
-        if let Ok(recovery) = store.load_into(&mut view) {
-            start_epoch = usize::try_from(view.epochs_done).unwrap_or(0).min(config.epochs);
-            resumed_from = Some(recovery.generation);
-        }
-    }
-
-    let mut monitor = LossMonitor::new(policy);
-    let mut snapshot: Option<M> = None;
-    let mut abort: Option<(usize, LossVerdict, f32)> = None;
-    let mut saved = 0usize;
-    let mut save_errors = 0usize;
-    let curve = train_with_from(model, graph, config, start_epoch, |m, stats| {
-        match monitor.observe(stats.mean_loss) {
-            LossVerdict::Healthy => {
-                if monitor.best_loss() == Some(stats.mean_loss) {
-                    match &mut snapshot {
-                        Some(s) => s.clone_from(m),
-                        None => snapshot = Some(m.clone()),
-                    }
-                }
-                let view = TrainerSnapshot {
-                    model: &mut *m,
-                    epochs_done: (stats.epoch + 1) as u64,
-                    fingerprint,
-                    seed: config.seed,
-                };
-                let note = format!("epoch={} loss={:.6}", stats.epoch, stats.mean_loss);
-                match store.save(&view, &note) {
-                    Ok(_) => saved += 1,
-                    Err(_) => save_errors += 1,
-                }
-                TrainControl::Continue
-            }
-            verdict => {
-                abort = Some((stats.epoch, verdict, stats.mean_loss));
-                TrainControl::Stop
-            }
-        }
-    });
-
-    let mut rolled_back = false;
-    let mut disk_rollback = None;
-    let (aborted_at, reason) = match abort {
-        None => (None, None),
-        Some((epoch, verdict, loss)) => {
-            if let Some(s) = snapshot {
-                *model = s;
-                rolled_back = true;
-            } else {
-                // Nothing healthy in memory this session — fall back to
-                // the last good generation on disk (resume-from-last-good
-                // instead of discarding the model).
-                let mut view =
-                    TrainerSnapshot { model, epochs_done: 0, fingerprint, seed: config.seed };
-                if let Ok(recovery) = store.load_into(&mut view) {
-                    disk_rollback = Some(recovery.generation);
-                    rolled_back = true;
-                }
-            }
-            let why = match verdict {
-                LossVerdict::NonFinite => format!("non-finite epoch loss {loss}"),
-                LossVerdict::Diverging => match monitor.best_loss() {
-                    Some(best) => format!("loss {loss} diverged from best {best}"),
-                    None => format!("loss {loss} above the divergence ceiling"),
-                },
-                LossVerdict::Healthy => unreachable!("healthy verdicts never abort"),
-            };
-            (Some(epoch), Some(why))
-        }
-    };
-    CheckpointedReport {
-        guarded: GuardedReport { curve, aborted_at, rolled_back, reason },
-        resumed_from,
-        start_epoch,
-        saved,
-        save_errors,
-        disk_rollback,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::{train_guarded, train_with_from, TrainControl};
     use crate::transe::TransE;
     use kgrec_graph::KgBuilder;
+    use kgrec_linalg::stability::DivergencePolicy;
+    use kgrec_store::CheckpointStore;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::path::PathBuf;
@@ -268,7 +127,7 @@ mod tests {
         let store = CheckpointStore::open(&dir).expect("open").with_retention(3);
         let mut rng = StdRng::seed_from_u64(1);
         let mut m = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
-        let report = train_checkpointed(&mut m, &g, &cfg(5), DivergencePolicy::default(), &store);
+        let report = train_guarded(&mut m, &g, &cfg(5), DivergencePolicy::default(), Some(&store));
         assert!(report.usable());
         assert_eq!(report.start_epoch, 0);
         assert_eq!(report.saved, 5);
@@ -287,7 +146,7 @@ mod tests {
         let dir_a = scratch("ref");
         let store_a = CheckpointStore::open(&dir_a).expect("open");
         let ra =
-            train_checkpointed(&mut reference, &g, &cfg(8), DivergencePolicy::default(), &store_a);
+            train_guarded(&mut reference, &g, &cfg(8), DivergencePolicy::default(), Some(&store_a));
         assert!(ra.usable());
 
         // Interrupted run: 3 epochs (simulated crash), then resume to 8.
@@ -319,7 +178,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(999); // different init — must not matter
         let mut resumed = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
         let rb =
-            train_checkpointed(&mut resumed, &g, &cfg(8), DivergencePolicy::default(), &store_b);
+            train_guarded(&mut resumed, &g, &cfg(8), DivergencePolicy::default(), Some(&store_b));
         assert_eq!(rb.start_epoch, 3);
         assert_eq!(rb.resumed_from, Some(3));
         assert!(rb.usable());
@@ -338,7 +197,7 @@ mod tests {
         let store = CheckpointStore::open(&dir).expect("open");
         let mut rng = StdRng::seed_from_u64(3);
         let mut m = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
-        train_checkpointed(&mut m, &g, &cfg(3), DivergencePolicy::default(), &store);
+        train_guarded(&mut m, &g, &cfg(3), DivergencePolicy::default(), Some(&store));
 
         // Same store, different seed: every generation's fingerprint
         // mismatches, so this is a cold start, not a resume.
@@ -347,7 +206,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut m2 = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
         let report =
-            train_checkpointed(&mut m2, &g, &other_cfg, DivergencePolicy::default(), &store);
+            train_guarded(&mut m2, &g, &other_cfg, DivergencePolicy::default(), Some(&store));
         assert_eq!(report.resumed_from, None);
         assert_eq!(report.start_epoch, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -360,14 +219,14 @@ mod tests {
         let store = CheckpointStore::open(&dir).expect("open");
         let mut rng = StdRng::seed_from_u64(5);
         let mut m = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
-        let first = train_checkpointed(&mut m, &g, &cfg(4), DivergencePolicy::default(), &store);
+        let first = train_guarded(&mut m, &g, &cfg(4), DivergencePolicy::default(), Some(&store));
         assert!(first.usable());
 
         let mut rng = StdRng::seed_from_u64(6);
         let mut m2 = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
-        let second = train_checkpointed(&mut m2, &g, &cfg(4), DivergencePolicy::default(), &store);
+        let second = train_guarded(&mut m2, &g, &cfg(4), DivergencePolicy::default(), Some(&store));
         assert_eq!(second.start_epoch, 4, "nothing left to train");
-        assert!(second.guarded.curve.is_empty());
+        assert!(second.curve.is_empty());
         assert!(second.usable());
         for (a, b) in m.entities().data().iter().zip(m2.entities().data()) {
             assert_eq!(a.to_bits(), b.to_bits());

@@ -10,8 +10,10 @@
 //! The shared [`KgeModel`] trait exposes plausibility scoring and the
 //! learned embeddings; [`trainer`] provides the negative-sampling margin /
 //! logistic training loop — plain ([`trainer::train`]), observable
-//! ([`trainer::train_with`]), and guarded against loss divergence with
-//! last-good snapshot rollback ([`trainer::train_guarded`]); [`eval`]
+//! ([`trainer::train_with_from`]), and guarded against loss divergence with
+//! last-good snapshot rollback ([`trainer::train_guarded`]), which given a
+//! checkpoint store also saves every healthy epoch and resumes from the
+//! last good one ([`checkpoint`] holds the snapshot format); [`eval`]
 //! implements filtered link-prediction metrics (MR, MRR, Hits@K).
 
 #![warn(missing_docs)]
@@ -31,13 +33,11 @@ pub mod transe;
 pub mod transh;
 pub mod transr;
 
-pub use checkpoint::{train_checkpointed, CheckpointedReport};
 pub use distmult::DistMult;
 pub use grad::{GradBatch, GradOp};
 pub use model::KgeModel;
 pub use trainer::{
-    train, train_guarded, train_with, train_with_from, EpochStats, GuardedReport, TrainConfig,
-    TrainControl,
+    train, train_guarded, train_with_from, EpochStats, GuardedReport, TrainConfig, TrainControl,
 };
 pub use transd::TransD;
 pub use transe::TransE;

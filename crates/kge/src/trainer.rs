@@ -17,11 +17,13 @@
 //! never on the worker count — so parameters, losses, and every
 //! downstream metric are bit-identical at any thread count.
 
+use crate::checkpoint::{train_fingerprint, TrainerSnapshot};
 use crate::grad::GradBatch;
 use crate::model::KgeModel;
 use kgrec_graph::{EntityId, KnowledgeGraph, Triple};
 use kgrec_linalg::par;
 use kgrec_linalg::stability::{DivergencePolicy, LossMonitor, LossVerdict};
+use kgrec_store::{CheckpointStore, Persistable};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -89,7 +91,7 @@ const GRAD_CHUNK: usize = 256;
 /// identical at any thread count.
 const GRAD_SUB: usize = 64;
 
-/// Per-epoch training statistics handed to [`train_with`] observers.
+/// Per-epoch training statistics handed to [`train_with_from`] observers.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochStats {
     /// 0-based epoch index.
@@ -107,33 +109,16 @@ pub enum TrainControl {
     Stop,
 }
 
-/// Trains `model` on every triple of `graph` for up to `config.epochs`
-/// epochs, invoking `on_epoch` after each epoch with the model and the
-/// epoch's statistics. Returning [`TrainControl::Stop`] ends training
-/// early. Returns the mean per-pair loss curve of the epochs that ran.
+/// Trains `model` on every triple of `graph` for epochs
+/// `start_epoch..config.epochs`, invoking `on_epoch` after each epoch with
+/// the model and the epoch's statistics. Returning [`TrainControl::Stop`]
+/// ends training early. Returns the mean per-pair loss curve of the
+/// epochs that ran. The observer receives `&mut M` so supervision layers
+/// can snapshot, checkpoint or roll back parameters between epochs (see
+/// [`train_guarded`]).
 ///
-/// The observer receives `&mut M` so supervision layers can snapshot or
-/// roll back parameters between epochs (see [`train_guarded`]).
-///
-/// # Panics
-/// Panics if the model is sized for fewer entities than the graph.
-pub fn train_with<M, F>(
-    model: &mut M,
-    graph: &KnowledgeGraph,
-    config: &TrainConfig,
-    on_epoch: F,
-) -> Vec<f32>
-where
-    M: KgeModel,
-    F: FnMut(&mut M, &EpochStats) -> TrainControl,
-{
-    train_with_from(model, graph, config, 0, on_epoch)
-}
-
-/// [`train_with`] starting at `start_epoch` instead of 0: the warm-start
-/// entry point of checkpoint resume (see [`crate::checkpoint`]).
-///
-/// The RNG draws of epochs `0..start_epoch` are replayed without training
+/// A non-zero `start_epoch` is the warm start of checkpoint resume. The
+/// RNG draws of epochs `0..start_epoch` are replayed without training
 /// — shuffles and corruption draws depend only on the data, never on the
 /// parameters — so a run resumed from an epoch-`k` checkpoint consumes
 /// exactly the RNG stream an uninterrupted run would have at epoch `k`,
@@ -257,7 +242,7 @@ where
 /// Trains `model` on every triple of `graph` for `config.epochs` epochs.
 /// Returns the mean per-pair loss of each epoch (a monitoring curve).
 pub fn train<M: KgeModel>(model: &mut M, graph: &KnowledgeGraph, config: &TrainConfig) -> Vec<f32> {
-    train_with(model, graph, config, |_, _| TrainControl::Continue)
+    train_with_from(model, graph, config, 0, |_, _| TrainControl::Continue)
 }
 
 /// What [`train_guarded`] did.
@@ -268,10 +253,24 @@ pub struct GuardedReport {
     pub curve: Vec<f32>,
     /// Epoch at which the monitor aborted training, if it did.
     pub aborted_at: Option<usize>,
-    /// Whether the model was rolled back to the last-good snapshot.
+    /// Whether the model was rolled back to a healthy state: the last-good
+    /// in-memory snapshot, or the store's last good generation.
     pub rolled_back: bool,
     /// Human-readable abort reason when `aborted_at` is set.
     pub reason: Option<String>,
+    /// Generation the run warm-started from, if any.
+    pub resumed_from: Option<u64>,
+    /// First epoch of this run (0 for a cold start; equals the epoch
+    /// target when the checkpoint was already complete).
+    pub start_epoch: usize,
+    /// Checkpoints written this run.
+    pub saved: usize,
+    /// Checkpoint writes that failed. Training continues regardless; a
+    /// non-zero count means resume-on-crash protection is degraded.
+    pub save_errors: usize,
+    /// Generation restored from disk after an abort that had no in-memory
+    /// snapshot to roll back to, if disk recovery succeeded.
+    pub disk_rollback: Option<u64>,
 }
 
 impl GuardedReport {
@@ -287,21 +286,57 @@ impl GuardedReport {
     }
 }
 
+/// Restores `model` from the store's newest generation whose trainer
+/// fingerprint matches; returns the generation and its completed epochs.
+fn restore<M: Persistable>(
+    store: &CheckpointStore,
+    model: &mut M,
+    fingerprint: u64,
+    seed: u64,
+) -> Option<(u64, u64)> {
+    let mut view = TrainerSnapshot { model, epochs_done: 0, fingerprint, seed };
+    let recovery = store.load_into(&mut view).ok()?;
+    Some((recovery.generation, view.epochs_done))
+}
+
 /// Trains under a [`LossMonitor`]: each epoch's mean loss is checked for
 /// NaN/∞ and divergence, parameters are snapshotted at every
 /// loss-improving epoch, and on abort the model is rolled back to the
 /// last-good snapshot (when one exists — a first-epoch explosion leaves
 /// nothing to roll back to, and `usable()` reports it).
-pub fn train_guarded<M: KgeModel + Clone>(
+///
+/// With a `store` the run is also crash-safe (see [`crate::checkpoint`]):
+///
+/// 1. **Resume** — the store's most recent usable generation is restored
+///    when its fingerprint matches; training continues from the recorded
+///    epoch, replaying the RNG draws of completed epochs (see
+///    [`train_with_from`]), so a resumed run finishes with parameters
+///    bit-identical to an uninterrupted one.
+/// 2. **Save** — every healthy epoch is checkpointed (atomic write, new
+///    generation, last-good pointer). A failed save never aborts
+///    training; it is counted in the report.
+/// 3. **Disk fallback** — an abort with no in-memory snapshot (the first
+///    epoch after a resume exploded) restores the store's last good
+///    generation instead of discarding the model.
+pub fn train_guarded<M: KgeModel + Clone + Persistable>(
     model: &mut M,
     graph: &KnowledgeGraph,
     config: &TrainConfig,
     policy: DivergencePolicy,
+    store: Option<&CheckpointStore>,
 ) -> GuardedReport {
+    let fingerprint = train_fingerprint(config, graph);
+    let resumed = store.and_then(|s| restore(s, model, fingerprint, config.seed));
+    let resumed_from = resumed.map(|(generation, _)| generation);
+    let start_epoch =
+        resumed.map_or(0, |(_, done)| usize::try_from(done).unwrap_or(0).min(config.epochs));
+
     let mut monitor = LossMonitor::new(policy);
     let mut snapshot: Option<M> = None;
     let mut abort: Option<(usize, LossVerdict, f32)> = None;
-    let curve = train_with(model, graph, config, |m, stats| {
+    let mut saved = 0usize;
+    let mut save_errors = 0usize;
+    let curve = train_with_from(model, graph, config, start_epoch, |m, stats| {
         match monitor.observe(stats.mean_loss) {
             LossVerdict::Healthy => {
                 // `best_loss` equals this epoch's loss exactly when the
@@ -315,6 +350,19 @@ pub fn train_guarded<M: KgeModel + Clone>(
                         None => snapshot = Some(m.clone()),
                     }
                 }
+                if let Some(store) = store {
+                    let view = TrainerSnapshot {
+                        model: &mut *m,
+                        epochs_done: (stats.epoch + 1) as u64,
+                        fingerprint,
+                        seed: config.seed,
+                    };
+                    let note = format!("epoch={} loss={:.6}", stats.epoch, stats.mean_loss);
+                    match store.save(&view, &note) {
+                        Ok(_) => saved += 1,
+                        Err(_) => save_errors += 1,
+                    }
+                }
                 TrainControl::Continue
             }
             verdict => {
@@ -324,11 +372,17 @@ pub fn train_guarded<M: KgeModel + Clone>(
         }
     });
     let mut rolled_back = false;
+    let mut disk_rollback = None;
     let (aborted_at, reason) = match abort {
         None => (None, None),
         Some((epoch, verdict, loss)) => {
             if let Some(s) = snapshot {
                 *model = s;
+                rolled_back = true;
+            } else if let Some((generation, _)) =
+                store.and_then(|s| restore(s, model, fingerprint, config.seed))
+            {
+                disk_rollback = Some(generation);
                 rolled_back = true;
             }
             let why = match verdict {
@@ -342,7 +396,17 @@ pub fn train_guarded<M: KgeModel + Clone>(
             (Some(epoch), Some(why))
         }
     };
-    GuardedReport { curve, aborted_at, rolled_back, reason }
+    GuardedReport {
+        curve,
+        aborted_at,
+        rolled_back,
+        reason,
+        resumed_from,
+        start_epoch,
+        saved,
+        save_errors,
+        disk_rollback,
+    }
 }
 
 #[cfg(test)]
@@ -479,7 +543,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let mut m = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
         let cfg = TrainConfig { epochs: 30, learning_rate: 0.05, seed: 14, threads: None };
-        let curve = train_with(&mut m, &g, &cfg, |_, stats| {
+        let curve = train_with_from(&mut m, &g, &cfg, 0, |_, stats| {
             if stats.epoch >= 4 {
                 TrainControl::Stop
             } else {
@@ -495,7 +559,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(15);
         let mut m = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
         let cfg = TrainConfig { epochs: 20, learning_rate: 0.05, seed: 16, threads: None };
-        let report = train_guarded(&mut m, &g, &cfg, DivergencePolicy::default());
+        let report = train_guarded(&mut m, &g, &cfg, DivergencePolicy::default(), None);
         assert!(report.completed());
         assert!(report.usable());
         assert!(!report.rolled_back);
@@ -543,6 +607,34 @@ mod tests {
         }
     }
 
+    /// Persists the state marker and the pair counter, so a restored
+    /// mock resumes its script at the checkpointed epoch.
+    impl Persistable for Scripted {
+        fn snapshot_id(&self) -> &'static str {
+            "test.scripted"
+        }
+        fn write_state(
+            &self,
+            writer: &mut kgrec_store::SnapshotWriter,
+        ) -> Result<(), kgrec_store::StoreError> {
+            let mut s = kgrec_store::Section::new();
+            s.put_u64(self.pairs_seen as u64);
+            s.put_f32s(&self.state);
+            writer.add("scripted", s)
+        }
+        fn read_state(
+            &mut self,
+            reader: &kgrec_store::SnapshotReader,
+        ) -> Result<(), kgrec_store::StoreError> {
+            let mut c = reader.section("scripted")?;
+            let pairs_seen = c.take_u64()? as usize;
+            let state = c.take_f32s(self.state.len())?;
+            self.pairs_seen = pairs_seen;
+            self.state = state;
+            Ok(())
+        }
+    }
+
     fn scripted(g: &KnowledgeGraph, script: &[f32]) -> Scripted {
         Scripted {
             script: script.to_vec(),
@@ -561,7 +653,7 @@ mod tests {
         let mut m = scripted(&g, &script);
         let cfg = TrainConfig { epochs: script.len(), learning_rate: 0.1, seed: 17, threads: None };
         let policy = DivergencePolicy { factor: 4.0, patience: 2, max_loss: 1e6 };
-        let report = train_guarded(&mut m, &g, &cfg, policy);
+        let report = train_guarded(&mut m, &g, &cfg, policy, None);
         assert_eq!(report.aborted_at, Some(4));
         assert!(report.rolled_back);
         assert!(report.usable());
@@ -576,7 +668,7 @@ mod tests {
         let script = [0.8, f32::NAN, 0.1];
         let mut m = scripted(&g, &script);
         let cfg = TrainConfig { epochs: script.len(), learning_rate: 0.1, seed: 18, threads: None };
-        let report = train_guarded(&mut m, &g, &cfg, DivergencePolicy::default());
+        let report = train_guarded(&mut m, &g, &cfg, DivergencePolicy::default(), None);
         assert_eq!(report.aborted_at, Some(1));
         assert!(report.rolled_back, "epoch 0 was healthy, so a snapshot exists");
         assert_eq!(m.state[0], 0.0);
@@ -589,9 +681,104 @@ mod tests {
         let script = [f32::INFINITY];
         let mut m = scripted(&g, &script);
         let cfg = TrainConfig { epochs: 5, learning_rate: 0.1, seed: 19, threads: None };
-        let report = train_guarded(&mut m, &g, &cfg, DivergencePolicy::default());
+        let report = train_guarded(&mut m, &g, &cfg, DivergencePolicy::default(), None);
         assert_eq!(report.aborted_at, Some(0));
         assert!(!report.rolled_back, "no healthy snapshot exists");
         assert!(!report.usable());
+    }
+
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("kgrec_kge_trainer_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn bits(m: &TransE) -> Vec<u32> {
+        m.entities().data().iter().chain(m.relations().data()).map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn guarded_falls_back_to_disk_when_resumed_epoch_explodes() {
+        let g = toy_graph();
+        // Epochs 0-2 are healthy and checkpointed (generations 1-3);
+        // epoch 3 is NaN.
+        let script = [1.0, 0.5, 0.2, f32::NAN, 0.1];
+        let cfg = TrainConfig { epochs: script.len(), learning_rate: 0.1, seed: 20, threads: None };
+        let dir = scratch("disk_rollback");
+        let store = CheckpointStore::open(&dir).expect("open");
+        let mut first = scripted(&g, &script);
+        let report = train_guarded(&mut first, &g, &cfg, DivergencePolicy::default(), Some(&store));
+        assert_eq!(report.aborted_at, Some(3));
+        assert_eq!(report.saved, 3);
+        assert_eq!(store.last_good(), Some(3));
+
+        // The restart resumes at epoch 3, which explodes before any
+        // healthy epoch: no in-memory snapshot exists, so the trainer
+        // restores the last good generation from disk.
+        let mut resumed = scripted(&g, &script);
+        let report =
+            train_guarded(&mut resumed, &g, &cfg, DivergencePolicy::default(), Some(&store));
+        assert_eq!(report.resumed_from, Some(3));
+        assert_eq!(report.start_epoch, 3);
+        assert_eq!(report.aborted_at, Some(3));
+        assert_eq!(report.disk_rollback, Some(3));
+        assert!(report.rolled_back);
+        assert!(report.usable());
+        assert_eq!(report.saved, 0);
+        assert!(report.reason.unwrap().contains("non-finite"));
+        // The checkpointed state: the marker written by epoch 2, and the
+        // pair counter at the end of epoch 2.
+        assert_eq!(resumed.state, vec![2.0]);
+        assert_eq!(resumed.pairs_seen, 3 * g.num_triples());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn guarded_survives_every_save_failing() {
+        let g = toy_graph();
+        let cfg = TrainConfig { epochs: 6, learning_rate: 0.05, seed: 22, threads: Some(1) };
+        let dir = scratch("save_errors");
+        let store = CheckpointStore::open(&dir).expect("open");
+        // Replace the store's directory with a plain file: every load and
+        // every save now fails.
+        std::fs::remove_dir_all(&dir).expect("remove store dir");
+        std::fs::write(&dir, b"not a directory").expect("write blocker file");
+
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut m = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
+        let report = train_guarded(&mut m, &g, &cfg, DivergencePolicy::default(), Some(&store));
+        assert!(report.completed());
+        assert_eq!(report.resumed_from, None);
+        assert_eq!(report.saved, 0);
+        assert_eq!(report.save_errors, cfg.epochs);
+
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut plain = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
+        train_guarded(&mut plain, &g, &cfg, DivergencePolicy::default(), None);
+        assert_eq!(bits(&m), bits(&plain), "failed saves must not perturb training");
+        let _ = std::fs::remove_file(&dir);
+    }
+
+    #[test]
+    fn guarded_cold_start_with_store_matches_store_less_run() {
+        let g = toy_graph();
+        let cfg = TrainConfig { epochs: 7, learning_rate: 0.05, seed: 24, threads: Some(1) };
+        let dir = scratch("cold");
+        let store = CheckpointStore::open(&dir).expect("open");
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut stored = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
+        let with = train_guarded(&mut stored, &g, &cfg, DivergencePolicy::default(), Some(&store));
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut plain = TransE::new(&mut rng, g.num_entities(), g.num_relations(), 8, 1.0);
+        let without = train_guarded(&mut plain, &g, &cfg, DivergencePolicy::default(), None);
+
+        assert_eq!(with.start_epoch, 0);
+        assert_eq!(with.saved, cfg.epochs);
+        assert_eq!((without.saved, without.save_errors), (0, 0));
+        let curve_bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(curve_bits(&with.curve), curve_bits(&without.curve));
+        assert_eq!(bits(&stored), bits(&plain));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -101,6 +101,7 @@ impl Recommender for Cfkg {
                 threads: None,
             },
             DivergencePolicy::default(),
+            None,
         );
         if !report.usable() {
             return Err(CoreError::Diverged {

@@ -14,10 +14,7 @@ use kgrec_core::taxonomy::Taxonomy;
 use kgrec_core::{CoreError, Recommender, TrainContext};
 use kgrec_data::dataset::UserItemGraph;
 use kgrec_data::{ItemId, UserId};
-use kgrec_kge::{
-    train_checkpointed, train_guarded, DistMult, KgeModel, TrainConfig, TransD, TransE, TransH,
-    TransR,
-};
+use kgrec_kge::{train_guarded, DistMult, KgeModel, TrainConfig, TransD, TransE, TransH, TransR};
 use kgrec_linalg::DivergencePolicy;
 use kgrec_store::{CheckpointStore, Persistable};
 use rand::rngs::StdRng;
@@ -183,23 +180,13 @@ impl Recommender for KgeRecommender {
             cfg: &TrainConfig,
             store: Option<&CheckpointStore>,
         ) -> Result<Box<dyn KgeModel>, CoreError> {
-            let (usable, aborted_at, reason) = match store {
-                Some(s) => {
-                    let report =
-                        train_checkpointed(&mut m, graph, cfg, DivergencePolicy::default(), s);
-                    (report.usable(), report.guarded.aborted_at, report.guarded.reason)
-                }
-                None => {
-                    let report = train_guarded(&mut m, graph, cfg, DivergencePolicy::default());
-                    (report.usable(), report.aborted_at, report.reason)
-                }
-            };
-            if usable {
+            let report = train_guarded(&mut m, graph, cfg, DivergencePolicy::default(), store);
+            if report.usable() {
                 Ok(Box::new(m))
             } else {
                 Err(CoreError::Diverged {
-                    epoch: aborted_at.unwrap_or(0),
-                    detail: reason.unwrap_or_else(|| "training aborted".into()),
+                    epoch: report.aborted_at.unwrap_or(0),
+                    detail: report.reason.unwrap_or_else(|| "training aborted".into()),
                 })
             }
         }

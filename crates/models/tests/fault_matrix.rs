@@ -58,7 +58,7 @@ fn every_model_survives_every_fault() {
             // the same failure and would only double the runtime. The
             // retry path is exercised by the supervisor's unit tests.
             let config = SupervisorConfig::default().with_max_retries(0);
-            let outcome = supervise_fit(model.as_mut(), &dataset, &train, &config);
+            let outcome = supervise_fit(model.as_mut(), &dataset, &train, &config, None);
             if outcome.status == FitStatus::Failed {
                 assert!(
                     outcome.reason.is_some(),
@@ -93,7 +93,7 @@ fn run_cell(fault: Fault, which: usize) -> String {
     let mut model = all_models(true).swap_remove(which);
     let name = model.name();
     let config = SupervisorConfig::default().with_max_retries(0);
-    let outcome = supervise_fit(model.as_mut(), &dataset, &train, &config);
+    let outcome = supervise_fit(model.as_mut(), &dataset, &train, &config, None);
     format!(
         "{name} × {fault}: {}{}",
         outcome.status.label(),
@@ -134,7 +134,8 @@ fn clean_bundle_trains_ok_under_supervision() {
     let train = dataset.interactions.clone();
     for mut model in all_models(true) {
         let name = model.name();
-        let outcome = supervise_fit(model.as_mut(), &dataset, &train, &SupervisorConfig::default());
+        let outcome =
+            supervise_fit(model.as_mut(), &dataset, &train, &SupervisorConfig::default(), None);
         assert_eq!(outcome.status, FitStatus::Ok, "{name} on a clean bundle: {:?}", outcome.reason);
         assert_finite_scores(model.as_ref(), name);
     }

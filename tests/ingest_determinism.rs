@@ -11,13 +11,13 @@
 //! 2. **Metric identity** — CTR and top-K reports computed against the
 //!    appended store equal the one-shot reports exactly, at 1 and 4
 //!    threads.
-//! 3. **Warm-start-after-append** — `supervise_fit_checkpointed` on the
+//! 3. **Warm-start-after-append** — `supervise_fit` with a store on the
 //!    grown dataset restores the generation saved before the append and
 //!    reports `attempts == 0` (no retraining), per the crash-safe
 //!    checkpoint protocol.
 
 use kgrec_core::protocol::{evaluate_ctr_par, evaluate_topk_par};
-use kgrec_core::supervisor::{supervise_fit_checkpointed, FitStatus, SupervisorConfig};
+use kgrec_core::supervisor::{supervise_fit, FitStatus, SupervisorConfig};
 use kgrec_core::Recommender;
 use kgrec_data::negative::labeled_eval_set;
 use kgrec_data::split::ratio_split;
@@ -145,7 +145,7 @@ fn warm_start_after_append_resumes_from_checkpoint() {
 
     // Cold fit on the base store: trains and saves generation 1.
     let mut model = BprMf::new(BprMfConfig { epochs: 4, ..BprMfConfig::default() });
-    let cold = supervise_fit_checkpointed(&mut model, &dataset, &base, &config, Some(&store));
+    let cold = supervise_fit(&mut model, &dataset, &base, &config, Some(&store));
     assert_eq!(cold.status, FitStatus::Ok);
     assert!(cold.attempts >= 1, "cold start must actually train");
 
@@ -155,8 +155,7 @@ fn warm_start_after_append_resumes_from_checkpoint() {
     assert!(grown.num_interactions() > base.num_interactions());
     let grown_dataset = toy_dataset(grown.clone());
     let mut resumed = BprMf::new(BprMfConfig { epochs: 4, ..BprMfConfig::default() });
-    let warm =
-        supervise_fit_checkpointed(&mut resumed, &grown_dataset, &grown, &config, Some(&store));
+    let warm = supervise_fit(&mut resumed, &grown_dataset, &grown, &config, Some(&store));
     assert_eq!(warm.status, FitStatus::Ok);
     assert_eq!(warm.attempts, 0, "append must not force a full retrain");
     let reason = warm.reason.expect("warm start reason");
