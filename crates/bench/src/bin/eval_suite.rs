@@ -18,14 +18,11 @@
 //!
 //! Usage:
 //! `cargo run --release -p kgrec-bench --bin eval_suite -- [--quick]
-//! [--threads N] [--bench] [--no-timing] [--checkpoint-dir DIR]
+//! [--threads N] [--no-timing] [--checkpoint-dir DIR]
 //! [--inject-fault[=<label>]]`
 //!
 //! * `--threads N` — worker count (default: `KGREC_THREADS`, then
 //!   `available_parallelism`);
-//! * `--bench` — also run a single-threaded comparison pass and write
-//!   wall-clock / throughput / per-model phase timings to
-//!   `BENCH_eval.json`;
 //! * `--no-timing` — print `-` in wall-clock columns so stdout is
 //!   byte-identical across runs, machines and thread counts (used by the
 //!   golden regression test and the CI 1-vs-4-thread diff);
@@ -46,7 +43,6 @@
 //!   training) without a panic. The suite must still finish all
 //!   scenarios and report the casualties in the outcome summary.
 
-use kgrec_bench::bench_report::{BenchReport, BENCH_PATH};
 use kgrec_bench::doubles::{NanBot, PanicBot, RecoverBot};
 use kgrec_bench::storage_drill::run_storage_drill;
 use kgrec_bench::{
@@ -60,7 +56,6 @@ use kgrec_data::Fault;
 use kgrec_models::registry::all_models;
 use kgrec_store::StorageFault;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Everything one suite pass needs to know.
 struct SuiteConfig {
@@ -71,22 +66,17 @@ struct SuiteConfig {
     show_timing: bool,
     /// Per-scenario checkpoint stores live under this root when set.
     checkpoint_root: Option<PathBuf>,
-    /// Quiet passes (the `--bench` serial baseline) skip stdout entirely.
-    print: bool,
 }
 
-/// One pass over every scenario; returns per-scenario reports and the
-/// wall-clock the whole pass took.
-fn run_suite(cfg: &SuiteConfig) -> (Vec<(String, Vec<ModelReport>)>, f64) {
+/// One pass over every scenario; returns per-scenario reports.
+fn run_suite(cfg: &SuiteConfig) -> Vec<(String, Vec<ModelReport>)> {
     // Model fits discover their worker count through `KGREC_THREADS`
     // (`par::resolve_threads(None)`), not through a plumbed argument —
-    // pin it to this pass's count so `--threads 1` (and the `--bench`
-    // serial comparison pass) really serializes the fit path too. Safe:
-    // the pool's scoped workers are joined before this call, so no other
+    // pin it to this pass's count so `--threads 1` really serializes the
+    // fit path too. Safe: no pool worker is running yet, so no other
     // thread is reading the environment.
     std::env::set_var(par::THREADS_ENV, cfg.threads.to_string());
     let supervisor = SupervisorConfig::default();
-    let started = Instant::now();
     let mut runs: Vec<(String, Vec<ModelReport>)> = Vec::new();
     for (scenario, with_text) in &cfg.scenarios {
         let mut synth = generate(scenario, 2024);
@@ -97,22 +87,18 @@ fn run_suite(cfg: &SuiteConfig) -> (Vec<(String, Vec<ModelReport>)>, f64) {
         if cfg.inject {
             // A corrupted bundle is the point of the drill: report what
             // kglint sees and push on into the supervised evaluation.
-            if cfg.print {
-                preflight_report(&synth, &split);
-            }
+            preflight_report(&synth, &split);
         } else {
             preflight_check(&synth, &split);
         }
-        if cfg.print {
-            println!(
-                "\nscenario {}: {} users, {} items, {} interactions, {} KG triples",
-                scenario.name,
-                scenario.num_users,
-                scenario.num_items,
-                synth.dataset.interactions.num_interactions(),
-                synth.dataset.graph.num_triples()
-            );
-        }
+        println!(
+            "\nscenario {}: {} users, {} items, {} interactions, {} KG triples",
+            scenario.name,
+            scenario.num_users,
+            scenario.num_items,
+            synth.dataset.interactions.num_interactions(),
+            synth.dataset.graph.num_triples()
+        );
         let mut roster: Vec<Box<dyn Recommender>> = all_models(*with_text);
         if cfg.inject {
             roster.push(Box::new(PanicBot));
@@ -129,32 +115,29 @@ fn run_suite(cfg: &SuiteConfig) -> (Vec<(String, Vec<ModelReport>)>, f64) {
             cfg.threads,
             scenario_root.as_deref(),
         );
-        if cfg.print {
-            // Progress lines print after the pool drains, in roster order,
-            // so stdout is identical at every thread count.
-            for report in &reports {
-                match &report.row {
-                    Some(row) => println!("  done: {} (AUC {:.4})", row.model, row.auc),
-                    None => println!(
-                        "  FAILED: {} ({})",
-                        report.model,
-                        report.outcome.reason.as_deref().unwrap_or("no reason recorded")
-                    ),
-                }
+        // Progress lines print after the pool drains, in roster order,
+        // so stdout is identical at every thread count.
+        for report in &reports {
+            match &report.row {
+                Some(row) => println!("  done: {} (AUC {:.4})", row.model, row.auc),
+                None => println!(
+                    "  FAILED: {} ({})",
+                    report.model,
+                    report.outcome.reason.as_deref().unwrap_or("no reason recorded")
+                ),
             }
-            let rows: Vec<EvalRow> = reports.iter().filter_map(|r| r.row.clone()).collect();
-            print_eval_table(&scenario.name, &rows, cfg.show_timing);
-            print_outcome_summary(&scenario.name, &reports, cfg.show_timing);
         }
+        let rows: Vec<EvalRow> = reports.iter().filter_map(|r| r.row.clone()).collect();
+        print_eval_table(&scenario.name, &rows, cfg.show_timing);
+        print_outcome_summary(&scenario.name, &reports, cfg.show_timing);
         runs.push((scenario.name.clone(), reports));
     }
-    (runs, started.elapsed().as_secs_f64())
+    runs
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let bench = args.iter().any(|a| a == "--bench");
     let show_timing = !args.iter().any(|a| a == "--no-timing");
     let threads = par::resolve_threads(threads_from_args(&args));
     let inject = args.iter().any(|a| a == "--inject-fault" || a.starts_with("--inject-fault="));
@@ -215,16 +198,8 @@ fn main() {
     // Thread count goes to stderr: stdout must stay byte-identical
     // across `--threads` values for the equivalence checks.
     eprintln!("eval_suite: {threads} worker thread(s)");
-    let cfg = SuiteConfig {
-        scenarios,
-        threads,
-        inject,
-        fault,
-        show_timing,
-        checkpoint_root,
-        print: true,
-    };
-    let (runs, wall_secs) = run_suite(&cfg);
+    let cfg = SuiteConfig { scenarios, threads, inject, fault, show_timing, checkpoint_root };
+    let runs = run_suite(&cfg);
 
     let mut totals = [0usize; 4];
     for (_, reports) in &runs {
@@ -257,26 +232,5 @@ fn main() {
     );
     if inject && failed == 0 {
         panic!("fault drill expected at least one failed outcome — injection is broken");
-    }
-
-    if bench {
-        let mut report = BenchReport::new(&runs, threads, wall_secs);
-        if threads > 1 {
-            eprintln!("eval_suite --bench: running single-threaded comparison pass");
-            // The serial baseline must retrain for real — warm starts from
-            // the first pass's checkpoints would fake the speedup.
-            let serial_cfg = SuiteConfig { threads: 1, print: false, checkpoint_root: None, ..cfg };
-            let (_, serial_wall) = run_suite(&serial_cfg);
-            report = report.with_serial_baseline(serial_wall);
-        } else {
-            report = report.with_serial_baseline(wall_secs);
-        }
-        report.write_to(std::path::Path::new(BENCH_PATH)).expect("writing BENCH_eval.json");
-        let speedup = report.speedup().unwrap_or(1.0);
-        eprintln!(
-            "bench: {:.2}s wall at {threads} thread(s), {:.0} rows/s, {speedup:.2}x vs serial \
-             -> {BENCH_PATH}",
-            report.wall_secs, report.rows_per_sec
-        );
     }
 }

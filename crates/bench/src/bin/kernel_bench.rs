@@ -7,8 +7,8 @@
 //! vector ops, blocked matmul/transpose, the three `Dense` training
 //! kernels at SHINE's shapes, select-based top-K, and the fused
 //! per-family KGE score kernels. `--quick` shrinks sizes and rep
-//! counts for CI smoke runs; `--out PATH` overrides the output
-//! location.
+//! counts for CI smoke runs; `--out PATH` (or `--out=PATH`) overrides
+//! the output location.
 //!
 //! Every kernel folds its result into a checksum passed through
 //! `std::hint::black_box`, so the optimizer cannot delete the measured
@@ -16,8 +16,10 @@
 //! is reported — the minimum is the standard noise-robust statistic for
 //! microbenchmarks, since interference only ever adds time.
 //!
-//! `--baseline PATH` turns the run into a regression gate against the
-//! committed baseline (normally `BENCH_kernels.baseline.json`). The
+//! `--baseline PATH` (or `--baseline=PATH`) turns the run into a
+//! regression gate against the committed baseline (normally
+//! `BENCH_kernels.baseline.json`); either flag without its value panics
+//! rather than skipping the gate. The
 //! process exits non-zero when any kernel's checksum differs from its
 //! baseline row (its output drifted; checksums are deterministic, so
 //! this fails at once, without re-measuring), or when any kernel lands
@@ -28,6 +30,7 @@
 //! survives all three passes. Refresh the baseline after an intentional
 //! kernel change with `--quick --out BENCH_kernels.baseline.json`.
 
+use kgrec_bench::flag_value;
 use kgrec_bench::kernel_report::{parse_baseline, KernelEntry, KernelReport, KERNEL_BENCH_PATH};
 use kgrec_graph::{EntityId, RelationId};
 use kgrec_kge::{DistMult, KgeModel, TransE, TransH, TransR};
@@ -218,12 +221,8 @@ fn merge_min(report: &mut KernelReport, retry: KernelReport) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or(KERNEL_BENCH_PATH, String::as_str);
-    let baseline_path = args.iter().position(|a| a == "--baseline").and_then(|i| args.get(i + 1));
+    let out_path = flag_value(&args, "--out").unwrap_or(KERNEL_BENCH_PATH);
+    let baseline_path = flag_value(&args, "--baseline");
 
     let mut report = measure(quick);
 

@@ -25,10 +25,13 @@
 //! scenario (nightly). Exit code 0 = all gates green; 1 = a validation,
 //! warm-start or store-layout gate failed; 2 = memory budget exceeded.
 //!
-//! Usage: `scale_bench [--smoke|--full] [--threads N] [--budget-mb MB]
-//! [--out PATH]`
+//! The mode alone fixes every bound: the memory budget is
+//! `BUDGET_SMOKE_MB` or `BUDGET_FULL_MB`.
+//!
+//! Usage: `scale_bench [--smoke|--full] [--threads N] [--out PATH]`
 
-use kgrec_bench::threads_from_args;
+use kgrec_bench::{flag_value, threads_from_args};
+use kgrec_check::json::{json_f64, json_str};
 use kgrec_check::{default_model_hyperparams, CheckBundle, CheckReport};
 use kgrec_core::protocol::evaluate_ctr_par;
 use kgrec_core::supervisor::{supervise_fit, SupervisorConfig};
@@ -46,7 +49,7 @@ use std::time::Instant;
 
 const SEED: u64 = 2024;
 const HOLDOUT_EVERY_NTH: usize = 5;
-/// Default peak-RSS budgets (MiB); see `DESIGN.md` §13 for the envelope
+/// Peak-RSS budgets (MiB); see `DESIGN.md` §13 for the envelope
 /// derivation.
 const BUDGET_SMOKE_MB: u64 = 1024;
 const BUDGET_FULL_MB: u64 = 4096;
@@ -61,7 +64,8 @@ struct Phase {
     name: &'static str,
     seconds: f64,
     rows: usize,
-    detail: Vec<(String, String)>,
+    /// Extra `key: value` pairs, each value already rendered as JSON.
+    detail: Vec<(&'static str, String)>,
 }
 
 impl Phase {
@@ -69,8 +73,9 @@ impl Phase {
         Self { name, seconds, rows, detail: Vec::new() }
     }
 
-    fn with(mut self, key: &str, value: String) -> Self {
-        self.detail.push((key.to_owned(), value));
+    /// Appends a detail whose `value` is already rendered as JSON.
+    fn with(mut self, key: &'static str, value: String) -> Self {
+        self.detail.push((key, value));
         self
     }
 
@@ -94,29 +99,12 @@ fn peak_rss_mb() -> Option<u64> {
     None
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let full = args.iter().any(|a| a == "--full");
     let threads = threads_from_args(&args).unwrap_or(4);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| "BENCH_scale.json".to_owned(), Clone::clone);
-    let budget_mb: u64 = args
-        .iter()
-        .position(|a| a == "--budget-mb")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if full { BUDGET_FULL_MB } else { BUDGET_SMOKE_MB });
+    let out_path = flag_value(&args, "--out").unwrap_or("BENCH_scale.json");
+    let budget_mb = if full { BUDGET_FULL_MB } else { BUDGET_SMOKE_MB };
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let config = if full { ScenarioConfig::huge() } else { ScenarioConfig::huge_smoke() };
     println!(
@@ -304,8 +292,8 @@ fn main() {
     // Report.
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str(&format!("  \"scenario\": \"{}\",\n", config.name));
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if full { "full" } else { "smoke" }));
+    json.push_str(&format!("  \"scenario\": {},\n", json_str(&config.name)));
+    json.push_str(&format!("  \"mode\": {},\n", json_str(if full { "full" } else { "smoke" })));
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
@@ -315,19 +303,14 @@ fn main() {
     json.push_str("  \"phases\": {\n");
     for (i, p) in phases.iter().enumerate() {
         json.push_str(&format!(
-            "    \"{}\": {{ \"seconds\": {}, \"rows\": {}, \"rows_per_s\": {}",
-            p.name,
+            "    {}: {{ \"seconds\": {}, \"rows\": {}, \"rows_per_s\": {}",
+            json_str(p.name),
             json_f64(p.seconds),
             p.rows,
             json_f64(p.rows_per_s())
         ));
         for (k, v) in &p.detail {
-            let quoted = v.parse::<f64>().is_err() && v != "true" && v != "false" && v != "null";
-            if quoted {
-                json.push_str(&format!(", \"{k}\": \"{v}\""));
-            } else {
-                json.push_str(&format!(", \"{k}\": {v}"));
-            }
+            json.push_str(&format!(", {}: {v}", json_str(k)));
         }
         json.push_str(if i + 1 == phases.len() { " }\n" } else { " },\n" });
     }
@@ -349,7 +332,7 @@ fn main() {
     json.push_str("  },\n");
     json.push_str(&format!("  \"gates_green\": {}\n", gates_green && within_budget));
     json.push_str("}\n");
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_scale.json");
+    let mut f = std::fs::File::create(out_path).expect("create BENCH_scale.json");
     f.write_all(json.as_bytes()).expect("write BENCH_scale.json");
     println!("scale_bench: wrote {out_path}");
 

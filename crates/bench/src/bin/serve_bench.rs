@@ -2,7 +2,7 @@
 //!
 //! Replays deterministic synthetic traffic against the `kgrec_serve`
 //! two-stage pipeline and writes `BENCH_serve.json` next to the other
-//! benchmark artifacts. Four replay phases over the same request trace:
+//! benchmark artifacts. Three replay phases over the same request trace:
 //!
 //! 1. **uncached** — every request runs the full candidate→rank
 //!    pipeline (cache bypassed): the latency baseline;
@@ -10,14 +10,11 @@
 //!    repeat users hit mid-phase;
 //! 3. **cached_warm** — the trace replayed against the filled cache:
 //!    the steady-state serving profile, and the measured latency win
-//!    over the uncached baseline;
-//! 4. **post_ingest** — an interaction batch is ingested, then the trace
-//!    replays once more: touched users miss (stamp invalidation), the
-//!    rest still hit.
+//!    over the uncached baseline.
 //!
-//! Then a hot-reload drill: a retrained checkpoint generation must swap
-//! in (`ok`), and a NaN-poisoned generation must be rejected by the
-//! serve-path probe (`degraded`) while serving continues.
+//! Hot reload and ingest invalidation are pinned by the `kgrec_serve`
+//! unit tests and `tests/proptest_serve_cache.rs`; ingest latency beside
+//! reads is measured by kgbench's `serve-ingest` workload.
 //!
 //! Traffic is partitioned across the `kgrec_linalg::par` pool by user
 //! (`user % threads`), so every user's requests replay in order on one
@@ -26,23 +23,21 @@
 //! uncached/cold/warm phases — the cache may never change an answer.
 //!
 //! Wall-clock latencies are machine-dependent; everything else in the
-//! artifact (hit rates, checksums, reload labels) is deterministic.
+//! artifact (hit rates, checksums) is deterministic.
 //!
 //! Exit code 0 = all gates green; 1 = a correctness gate failed
-//! (checksum drift, reload labels, warm-cache speedup); 2 = the p99
-//! latency budget was exceeded.
+//! (checksum drift, warm-cache speedup); 2 = the p99 latency budget was
+//! exceeded. The mode alone fixes the request count and the p99 budget.
 //!
-//! Usage: `serve_bench [--smoke|--full] [--threads N] [--requests N]
-//! [--out PATH] [--p99-budget-ms MS]`
+//! Usage: `serve_bench [--smoke|--full] [--threads N] [--out PATH]`
 
-use kgrec_bench::threads_from_args;
-use kgrec_core::FitStatus;
+use kgrec_bench::{flag_value, threads_from_args};
+use kgrec_check::json::{json_f64, json_str};
 use kgrec_data::synth::generate_streaming;
-use kgrec_data::{Interaction, ItemId, ScenarioConfig, UserId};
+use kgrec_data::{ItemId, ScenarioConfig, UserId};
 use kgrec_kge::TransE;
 use kgrec_linalg::par::par_map;
-use kgrec_serve::{ServeConfig, ServedModel, Server};
-use kgrec_store::CheckpointStore;
+use kgrec_serve::{ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::Write;
@@ -170,41 +165,13 @@ fn replay(
     stats
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn fresh_transe(entities: usize, relations: usize, seed: u64) -> Box<dyn ServedModel> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Box::new(TransE::new(&mut rng, entities, relations, DIM, 1.0))
-}
-
-#[allow(clippy::too_many_lines)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let full = args.iter().any(|a| a == "--full");
     let threads = threads_from_args(&args).unwrap_or(4);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| "BENCH_serve.json".to_owned(), Clone::clone);
-    let requests: usize = args
-        .iter()
-        .position(|a| a == "--requests")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if full { REQUESTS_FULL } else { REQUESTS_SMOKE });
-    let p99_budget_ms: f64 = args
-        .iter()
-        .position(|a| a == "--p99-budget-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if full { P99_BUDGET_FULL_MS } else { P99_BUDGET_SMOKE_MS });
+    let out_path = flag_value(&args, "--out").unwrap_or("BENCH_serve.json");
+    let requests = if full { REQUESTS_FULL } else { REQUESTS_SMOKE };
+    let p99_budget_ms = if full { P99_BUDGET_FULL_MS } else { P99_BUDGET_SMOKE_MS };
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let config = if full { ScenarioConfig::huge() } else { ScenarioConfig::huge_smoke() };
     println!(
@@ -221,7 +188,8 @@ fn main() {
     let rows = synth.dataset.interactions.num_interactions();
     let (entities, relations) =
         (synth.dataset.graph.num_entities(), synth.dataset.graph.num_relations());
-    let model = fresh_transe(entities, relations, SEED ^ 0x5E12);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x5E12);
+    let model = Box::new(TransE::new(&mut rng, entities, relations, DIM, 1.0));
     let serve_config = ServeConfig {
         // Collision-free cache (capacity = users): hit counts depend only
         // on the trace, never on eviction timing.
@@ -251,63 +219,9 @@ fn main() {
     let cold = replay("cached_cold", &server, &trace, threads, true);
     let warm = replay("cached_warm", &server, &trace, threads, true);
 
-    // Ingest a 1%-of-rows batch touching a deterministic user subset,
-    // then replay: only touched users may miss.
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x1A6E);
-    let batch: Vec<Interaction> = (0..(rows / 100).max(1))
-        .map(|_| {
-            Interaction::implicit(
-                UserId(rng.gen_range(0..config.num_users as u32)),
-                ItemId(rng.gen_range(0..config.num_items as u32)),
-            )
-        })
-        .collect();
-    let t0 = Instant::now();
-    server.ingest(&batch);
-    let ingest_secs = t0.elapsed().as_secs_f64();
-    let post_ingest = replay("post_ingest", &server, &trace, threads, true);
-    println!(
-        "  ingest: +{} rows in {ingest_secs:.2}s, replay hit rate {:.3} (warm was {:.3})",
-        batch.len(),
-        post_ingest.hit_rate(),
-        warm.hit_rate()
-    );
-
-    // Hot-reload drill: a retrained generation must swap in, a poisoned
-    // one must be rejected while serving survives.
-    let ckpt_dir = std::env::temp_dir().join(format!("kgrec_serve_bench_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    let store = CheckpointStore::open(&ckpt_dir).expect("open checkpoint store");
-    let mut retrained_rng = StdRng::seed_from_u64(SEED ^ 0xBEEF);
-    let retrained = TransE::new(&mut retrained_rng, entities, relations, DIM, 1.0);
-    let good_gen = store.save(&retrained, "retrained").expect("save retrained");
-    let good = server.reload(&store, fresh_transe(entities, relations, 1));
-    let mut poisoned_rng = StdRng::seed_from_u64(SEED ^ 0xDEAD);
-    let mut poisoned = TransE::new(&mut poisoned_rng, entities, relations, DIM, 1.0);
-    let nan_row = [f32::NAN; DIM];
-    for e in 0..entities {
-        poisoned.entity_row_add(kgrec_graph::EntityId(e as u32), &nan_row);
-    }
-    store.save(&poisoned, "poisoned").expect("save poisoned");
-    let bad = server.reload(&store, fresh_transe(entities, relations, 2));
-    let mut scratch = server.make_scratch();
-    server.serve(trace[0], &mut scratch);
-    let serving_survived = !scratch.top_k().is_empty();
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    println!(
-        "  reload: good generation {good_gen} -> {}, poisoned -> {} ({})",
-        good.status.label(),
-        bad.status.label(),
-        bad.reason.as_deref().unwrap_or("no reason"),
-    );
-
     // Gates.
     let results_deterministic =
         uncached.checksum == cold.checksum && cold.checksum == warm.checksum;
-    let reload_ok = matches!(good.status, FitStatus::Ok)
-        && good.generation == Some(good_gen)
-        && matches!(bad.status, FitStatus::Degraded)
-        && serving_survived;
     let warm_speedup_p50 = {
         let w = warm.percentile_us(0.50);
         if w > 0.0 {
@@ -319,9 +233,9 @@ fn main() {
     let warm_wins = warm.percentile_us(0.50) < uncached.percentile_us(0.50);
     let p99_ms = warm.percentile_us(0.99) / 1000.0;
     let p99_within_budget = p99_ms <= p99_budget_ms;
-    let gates_green = results_deterministic && reload_ok && warm_wins;
+    let gates_green = results_deterministic && warm_wins;
 
-    let phases = [&uncached, &cold, &warm, &post_ingest];
+    let phases = [&uncached, &cold, &warm];
     for p in phases {
         println!(
             "  {}: p50 {:.1}us p99 {:.1}us, {:.0} req/s, hit rate {:.3}, checksum {:016x}",
@@ -334,7 +248,7 @@ fn main() {
         );
     }
     println!(
-        "  gates: deterministic={results_deterministic} reload={reload_ok} \
+        "  gates: deterministic={results_deterministic} \
          warm_speedup_p50={warm_speedup_p50:.1}x p99 {p99_ms:.3}ms of {p99_budget_ms}ms budget"
     );
 
@@ -342,8 +256,8 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"generator\": \"serve_bench\",\n");
-    json.push_str(&format!("  \"scenario\": \"{}\",\n", config.name));
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if full { "full" } else { "smoke" }));
+    json.push_str(&format!("  \"scenario\": {},\n", json_str(&config.name)));
+    json.push_str(&format!("  \"mode\": {},\n", json_str(if full { "full" } else { "smoke" })));
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
@@ -353,47 +267,30 @@ fn main() {
     json.push_str(&format!("  \"requests\": {requests},\n"));
     json.push_str(&format!("  \"k\": {k},\n"));
     json.push_str(&format!("  \"cache_capacity\": {},\n", config.num_users));
-    json.push_str(&format!("  \"ingest_batch_rows\": {},\n", batch.len()));
-    json.push_str(&format!("  \"ingest_secs\": {},\n", json_f64(ingest_secs)));
     json.push_str("  \"phases\": {\n");
     for (i, p) in phases.iter().enumerate() {
         json.push_str(&format!(
-            "    \"{}\": {{ \"wall_secs\": {}, \"requests\": {}, \"rps\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"hit_rate\": {}, \"checksum\": \"{:016x}\" }}{}\n",
-            p.name,
+            "    {}: {{ \"wall_secs\": {}, \"requests\": {}, \"rps\": {}, \
+             \"p50_us\": {}, \"p99_us\": {}, \"hit_rate\": {}, \"checksum\": {} }}{}\n",
+            json_str(p.name),
             json_f64(p.wall_secs),
             p.requests,
             json_f64(p.rps()),
             json_f64(p.percentile_us(0.50)),
             json_f64(p.percentile_us(0.99)),
             json_f64(p.hit_rate()),
-            p.checksum,
+            json_str(&format!("{:016x}", p.checksum)),
             if i + 1 == phases.len() { "" } else { "," }
         ));
     }
     json.push_str("  },\n");
     json.push_str(&format!("  \"warm_speedup_p50\": {},\n", json_f64(warm_speedup_p50)));
-    json.push_str("  \"reload\": {\n");
-    json.push_str(&format!("    \"good\": \"{}\",\n", good.status.label()));
-    json.push_str(&format!(
-        "    \"good_generation\": {},\n",
-        good.generation.map_or_else(|| "null".to_owned(), |g| g.to_string())
-    ));
-    json.push_str(&format!("    \"bad\": \"{}\",\n", bad.status.label()));
-    json.push_str(&format!(
-        "    \"bad_reason\": {},\n",
-        bad.reason
-            .as_deref()
-            .map_or_else(|| "null".to_owned(), |r| format!("\"{}\"", r.replace('"', "'")))
-    ));
-    json.push_str(&format!("    \"serving_survived\": {serving_survived}\n"));
-    json.push_str("  },\n");
     json.push_str(&format!("  \"results_deterministic\": {results_deterministic},\n"));
     json.push_str(&format!("  \"p99_budget_ms\": {},\n", json_f64(p99_budget_ms)));
     json.push_str(&format!("  \"p99_within_budget\": {p99_within_budget},\n"));
     json.push_str(&format!("  \"gates_green\": {}\n", gates_green && p99_within_budget));
     json.push_str("}\n");
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_serve.json");
+    let mut f = std::fs::File::create(out_path).expect("create BENCH_serve.json");
     f.write_all(json.as_bytes()).expect("write BENCH_serve.json");
     println!("serve_bench: wrote {out_path}");
 

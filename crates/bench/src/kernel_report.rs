@@ -1,19 +1,18 @@
 //! Kernel microbenchmark recording: per-kernel nanoseconds-per-op,
 //! serialized to `BENCH_kernels.json`.
 //!
-//! `kernel_bench` is the writer. Where `BENCH_eval.json` tracks the
-//! suite-level perf trajectory, this file tracks the numeric hot-path
-//! kernels underneath it (dot, the `*_into` vector ops, blocked matmul,
-//! select-based top-K, fused KGE scores) so a kernel regression is
-//! visible before it smears into end-to-end wall time. Same hand-rolled
-//! flat JSON as `bench_report` — the workspace is dependency-free.
+//! `kernel_bench` is the writer. The file tracks the numeric hot-path
+//! kernels (dot, the `*_into` vector ops, blocked matmul, select-based
+//! top-K, fused KGE scores) so a kernel regression is visible before it
+//! smears into end-to-end wall time. Flat JSON rendered through
+//! `kgrec_check::json` — the workspace is dependency-free.
 //!
 //! Timings are wall-clock and machine-dependent; the `checksum` field is
 //! deterministic per kernel. It keeps the optimizer from deleting the
 //! measured work, and the baseline gate compares it exactly, so a kernel
 //! whose output drifts fails the gate however fast it runs.
 
-use crate::bench_report::{json_f64, json_str};
+use kgrec_check::json::{json_f64, json_str};
 use std::io::Write;
 use std::path::Path;
 

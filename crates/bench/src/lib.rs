@@ -12,14 +12,16 @@
 //! | `eval_suite` | the survey's qualitative claims, measured |
 //! | `ablation` | design-choice ablations (KGCN aggregators, RippleNet hops) |
 //! | `kernel_bench` | numeric hot-path kernel timings → `BENCH_kernels.json` |
+//! | `scale_bench` | the million-user data-layer drill → `BENCH_scale.json` |
+//! | `serve_bench` | the two-stage serving replay → `BENCH_serve.json` |
 //!
 //! Evaluation is parallel by default: models shard across the
 //! deterministic worker pool ([`par`], re-exported from
 //! `kgrec_linalg::par`), with `--threads N` / `KGREC_THREADS` selecting
 //! the worker count and metrics bit-identical at any setting.
-//! `eval_suite --bench` additionally records the perf trajectory to
-//! `BENCH_eval.json` via [`bench_report`], and `kernel_bench` records
-//! kernel-level timings to `BENCH_kernels.json` via [`kernel_report`].
+//! `kernel_bench` records kernel-level timings to `BENCH_kernels.json`
+//! via [`kernel_report`]; end-to-end timing (fit, CTR and top-K per
+//! model, and serving) is the separate `kgbench` package's job.
 //!
 //! Models are evaluated through one path: [`evaluate_model_supervised`]
 //! for a single model (`ablation`, `examples/model_zoo`) and
@@ -30,7 +32,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench_report;
 pub mod doubles;
 pub mod kernel_report;
 pub mod storage_drill;
@@ -50,19 +51,26 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Finds the first `--name V` / `--name=V` flag in `args`: `None` when
-/// absent, `Some(None)` when `--name` is the last argument.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<Option<&'a str>> {
+/// Finds the first `--name V` / `--name=V` flag in `args` and returns
+/// its value, or `None` when the flag is absent. Every bench binary
+/// parses its valued flags through this one function.
+///
+/// # Panics
+/// Panics when `--name` is the last argument: a flag given without its
+/// value must kill the run, not silently fall back to a default (or skip
+/// a gate).
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     let inline = format!("{name}=");
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == name {
-            return Some(it.next().map(String::as_str));
+            let value = it.next().unwrap_or_else(|| panic!("{name} needs a value"));
+            return Some(value);
         }
         if let Some(v) = a.strip_prefix(&inline) {
-            return Some(Some(v));
+            return Some(v);
         }
     }
     None
@@ -74,11 +82,10 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<Option<&'a str>> {
 /// [`par::resolve_threads`]'s env/auto policy).
 ///
 /// # Panics
-/// Panics on a malformed or zero value — a typo'd thread count should
-/// kill the run, not silently serialize it.
+/// Panics on a missing, malformed or zero value — a typo'd thread count
+/// should kill the run, not silently serialize it.
 pub fn threads_from_args(args: &[String]) -> Option<usize> {
-    let raw = flag_value(args, "--threads")?
-        .unwrap_or_else(|| panic!("--threads needs a value (e.g. --threads 4)"));
+    let raw = flag_value(args, "--threads")?;
     match raw.parse::<usize>() {
         Ok(n) if n > 0 => Some(n),
         _ => panic!("invalid --threads value {raw:?} (want a positive integer)"),
@@ -91,9 +98,7 @@ pub fn threads_from_args(args: &[String]) -> Option<usize> {
 /// # Panics
 /// Panics when the flag is present without a value.
 pub fn checkpoint_dir_from_args(args: &[String]) -> Option<std::path::PathBuf> {
-    let raw = flag_value(args, "--checkpoint-dir")?
-        .unwrap_or_else(|| panic!("--checkpoint-dir needs a value (a directory path)"));
-    Some(std::path::PathBuf::from(raw))
+    flag_value(args, "--checkpoint-dir").map(std::path::PathBuf::from)
 }
 
 /// One row of an evaluation table.
@@ -127,47 +132,6 @@ fn family_of(model: &dyn Recommender) -> String {
     }
 }
 
-/// Wall-clock phase timings and row counts for one evaluated model —
-/// the per-cell payload of `BENCH_eval.json`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTimings {
-    /// Training wall-clock (all supervised attempts).
-    pub fit_secs: f64,
-    /// CTR-protocol scoring wall-clock.
-    pub score_secs: f64,
-    /// Top-K full-ranking wall-clock.
-    pub rank_secs: f64,
-    /// Labeled pairs scored by the CTR protocol.
-    pub pairs_scored: usize,
-    /// Users ranked by the top-K protocol.
-    pub users_ranked: usize,
-    /// Training rows consumed by `fit`: epochs × training interactions.
-    pub fit_rows: usize,
-    /// Training passes over the interaction data
-    /// ([`Recommender::fit_epochs`]).
-    pub fit_epochs: usize,
-}
-
-impl PhaseTimings {
-    /// Training rows per wall-clock second of `fit` (0 when untimed).
-    pub fn fit_rows_per_sec(&self) -> f64 {
-        if self.fit_secs > 0.0 {
-            self.fit_rows as f64 / self.fit_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Training epochs per wall-clock second of `fit` (0 when untimed).
-    pub fn epochs_per_sec(&self) -> f64 {
-        if self.fit_secs > 0.0 {
-            self.fit_epochs as f64 / self.fit_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// What a supervised evaluation produced for one model: the training
 /// outcome always, the metric row only when the model ended usable.
 #[derive(Debug)]
@@ -181,8 +145,6 @@ pub struct ModelReport {
     /// Metrics, when [`FitOutcome::is_usable`] held and evaluation
     /// itself survived.
     pub row: Option<EvalRow>,
-    /// Phase timings (fit always; score/rank only when evaluation ran).
-    pub timings: PhaseTimings,
 }
 
 /// Directory-safe slug of a model name (`BPR-MF` → `bpr-mf`): checkpoint
@@ -221,33 +183,21 @@ pub fn evaluate_model_supervised(
 ) -> ModelReport {
     let name = model.name();
     let family = family_of(model);
-    let fit_epochs = model.fit_epochs();
-    let fit_rows = fit_epochs * split.train.num_interactions();
     let store = checkpoint_root.and_then(|root| {
         let dir = root.join(model_slug(name));
         model.set_checkpoint_dir(&dir.join("epochs"));
         kgrec_store::CheckpointStore::open(&dir).ok()
     });
     let mut outcome = supervise_fit(model, &synth.dataset, &split.train, config, store.as_ref());
-    let mut timings = PhaseTimings {
-        fit_secs: outcome.elapsed.as_secs_f64(),
-        fit_rows,
-        fit_epochs,
-        ..PhaseTimings::default()
-    };
     let row = if outcome.is_usable() {
         let fit_seconds = outcome.elapsed.as_secs_f64();
         let fam = family.clone();
         let evaluated = catch_unwind(AssertUnwindSafe(|| {
             let mut rng = StdRng::seed_from_u64(seed);
             let pairs = labeled_eval_set(&split.train, &split.test, 4, &mut rng);
-            let score_started = Instant::now();
             let ctr = evaluate_ctr_par(&*model, &pairs, threads);
-            let score_secs = score_started.elapsed().as_secs_f64();
-            let rank_started = Instant::now();
             let topk = evaluate_topk_par(&*model, &split.train, &split.test, &[10], threads);
-            let rank_secs = rank_started.elapsed().as_secs_f64();
-            let row = EvalRow {
+            EvalRow {
                 model: name,
                 family: fam,
                 auc: ctr.auc,
@@ -256,23 +206,10 @@ pub fn evaluate_model_supervised(
                 ndcg_at_10: topk.cutoffs[0].ndcg,
                 hit_at_10: topk.cutoffs[0].hit_rate,
                 fit_seconds,
-            };
-            let timing = PhaseTimings {
-                fit_secs: fit_seconds,
-                score_secs,
-                rank_secs,
-                pairs_scored: ctr.pairs,
-                users_ranked: topk.users_evaluated,
-                fit_rows,
-                fit_epochs,
-            };
-            (row, timing)
+            }
         }));
         match evaluated {
-            Ok((row, timing)) => {
-                timings = timing;
-                Some(row)
-            }
+            Ok(row) => Some(row),
             Err(payload) => {
                 outcome.status = FitStatus::Failed;
                 outcome.reason =
@@ -283,7 +220,7 @@ pub fn evaluate_model_supervised(
     } else {
         None
     };
-    ModelReport { model: name, family, outcome, row, timings }
+    ModelReport { model: name, family, outcome, row }
 }
 
 /// Evaluates a whole roster under supervision, sharding **models**
@@ -352,7 +289,6 @@ pub fn evaluate_roster_supervised(
                     overshoot: None,
                 },
                 row: None,
-                timings: PhaseTimings::default(),
             },
         })
         .collect()
@@ -618,6 +554,21 @@ mod tests {
         assert_eq!(dir(&["--quick", "--checkpoint-dir", "ck"]), Some("ck".into()));
         assert_eq!(dir(&["--checkpoint-dir=a/b", "--threads", "2"]), Some("a/b".into()));
         assert_eq!(dir(&["--threads", "2"]), None);
+        let value = |v: &[&str], name| flag_value(&to_args(v), name).map(str::to_owned);
+        assert_eq!(
+            value(&["--quick", "--baseline", "b.json"], "--baseline"),
+            Some("b.json".into())
+        );
+        assert_eq!(value(&["--quick", "--baseline=b.json"], "--baseline"), Some("b.json".into()));
+        assert_eq!(value(&["--out=a.json", "--threads", "2"], "--out"), Some("a.json".into()));
+        assert_eq!(value(&["--out", "a.json"], "--out"), Some("a.json".into()));
+        assert_eq!(value(&["--quick"], "--baseline"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--baseline needs a value")]
+    fn a_flag_without_its_value_panics() {
+        flag_value(&["--quick".to_owned(), "--baseline".to_owned()], "--baseline");
     }
 
     #[test]
@@ -638,8 +589,6 @@ mod tests {
         let row = report.row.expect("usable outcome must carry metrics");
         assert_eq!(row.model, "MostPop");
         assert!(row.auc > 0.0 && row.auc <= 1.0);
-        assert!(report.timings.users_ranked > 0 && report.timings.users_ranked <= 40);
-        assert!(report.timings.pairs_scored > 0);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Hand-rolled JSON rendering for `kglint --json`, shared by the
-//! bundle rules and the source rules.
+//! Hand-rolled JSON rendering: the one string and float renderer of the
+//! workspace. `kglint --json` (bundle and source rules) and every bench
+//! artifact (`BENCH_kernels.json`, `BENCH_scale.json`,
+//! `BENCH_serve.json`) write through it.
 //!
-//! The workspace is dependency-free (see `vendor/README.md`), so like
-//! the bench reports this is flat, hand-assembled JSON: stable key
-//! order, one finding object per line, no floats that need escaping.
-//! CI diffs these documents structurally, so field order is part of
-//! the contract.
+//! The workspace is dependency-free (see `vendor/README.md`), so this is
+//! flat, hand-assembled JSON: stable key order, one finding object per
+//! line. CI diffs these documents structurally, so field order is part
+//! of the contract.
 
 use crate::diagnostic::{Diagnostic, Subject};
 
@@ -26,6 +27,17 @@ pub fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// Renders `v` as a JSON number with six decimals, or `null` when it is
+/// not finite (a model bug upstream, but a report must never be invalid
+/// JSON). The kernel gate compares checksums in exactly this rendering.
+pub fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.6}")
+    } else {
+        "null".to_owned()
+    }
 }
 
 /// Renders one diagnostic as a single-line JSON object.
@@ -70,6 +82,16 @@ mod tests {
     fn escapes_quotes_and_control_chars() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn floats_render_six_decimals_and_non_finite_as_null() {
+        assert_eq!(json_f64(1.0), "1.000000");
+        assert_eq!(json_f64(-101878.669671), "-101878.669671");
+        assert_eq!(json_f64(0.1234567), "0.123457");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+        assert_eq!(json_f64(f64::NEG_INFINITY), "null");
     }
 
     #[test]

@@ -141,8 +141,8 @@ impl SrcRule for HashIteration {
 ///
 /// `Instant::now`/`SystemTime::now` make training trajectories depend
 /// on machine load, and `thread_rng`/`from_entropy` reseed from the OS.
-/// Wall-clock belongs only in the bench layer's `PhaseTimings`; every
-/// RNG in a model must be seeded from the run configuration.
+/// Wall-clock belongs only in the bench layer; every RNG in a model
+/// must be seeded from the run configuration.
 pub struct WallClockRng;
 
 impl SrcRule for WallClockRng {
@@ -154,7 +154,7 @@ impl SrcRule for WallClockRng {
     }
     fn summary(&self) -> &'static str {
         "wall-clock read or unseeded RNG in model/trainer logic — wall-clock may only flow \
-         into PhaseTimings; RNGs must be seeded from config"
+         into the bench layer; RNGs must be seeded from config"
     }
     fn scopes(&self) -> &'static [&'static str] {
         &["crates/models/", "crates/kge/", "crates/linalg/"]
@@ -177,7 +177,7 @@ impl SrcRule for WallClockRng {
                     tok.line,
                     format!(
                         "`{}::now()` in model/trainer logic — timing belongs in the bench \
-                         layer's PhaseTimings, not in anything that shapes results",
+                         layer, not in anything that shapes results",
                         tok.text
                     ),
                 ));
@@ -391,14 +391,14 @@ impl SrcRule for TruncatingIdCast {
 ///
 /// `supervise_fit` turns a panic into a retry/degraded outcome, but a
 /// panic that a `Result` or a restructure could avoid still costs the
-/// model its training run. Covered functions: `fit`, `fit_epochs`, and
-/// anything starting with `train` (the KGE trainer entry points),
-/// closures included.
+/// model its training run. Covered functions: `fit` and anything
+/// starting with `train` (the KGE trainer entry points), closures
+/// included.
 pub struct FitPathUnwrap;
 
 /// Whether `name` is one of the fit-path entry points SA006 covers.
 fn covered_fit_fn(name: &str) -> bool {
-    name == "fit" || name == "fit_epochs" || name.starts_with("train")
+    name == "fit" || name.starts_with("train")
 }
 
 impl SrcRule for FitPathUnwrap {

@@ -96,18 +96,6 @@ pub trait Recommender: Send + Sync {
         false
     }
 
-    /// Number of training passes one `fit` makes over the interaction
-    /// data, for throughput reporting (`fit_rows_per_sec` in
-    /// `BENCH_eval.json` is `fit_epochs × train rows / fit wall-clock`).
-    ///
-    /// Defaults to 1, which is exact for the single-pass models
-    /// (MostPop, ItemKnn); epoch-trained models override with their
-    /// configured epoch count. Purely observational — never read by
-    /// training itself.
-    fn fit_epochs(&self) -> usize {
-        1
-    }
-
     /// Predicted preference `ŷ_{i,j}` (monotone; not necessarily in
     /// `[0, 1]`).
     fn score(&self, user: UserId, item: ItemId) -> f32;

@@ -75,10 +75,6 @@ impl Recommender for BprMf {
         "BPR-MF"
     }
 
-    fn fit_epochs(&self) -> usize {
-        self.config.epochs
-    }
-
     fn taxonomy(&self) -> Taxonomy {
         baseline_taxonomy("BPR-MF")
     }

@@ -73,10 +73,6 @@ impl Recommender for Cfkg {
         "CFKG"
     }
 
-    fn fit_epochs(&self) -> usize {
-        self.config.epochs
-    }
-
     fn taxonomy(&self) -> Taxonomy {
         taxonomy_of("CFKG")
     }

@@ -165,10 +165,6 @@ impl Recommender for DknLite {
         "DKN"
     }
 
-    fn fit_epochs(&self) -> usize {
-        self.config.epochs
-    }
-
     fn taxonomy(&self) -> Taxonomy {
         taxonomy_of("DKN")
     }

@@ -132,10 +132,6 @@ impl Recommender for KgeRecommender {
         "KGE-Rec"
     }
 
-    fn fit_epochs(&self) -> usize {
-        self.config.epochs
-    }
-
     fn taxonomy(&self) -> Taxonomy {
         // The formulation is CFKG's; the backend is a hyper-parameter.
         taxonomy_of("CFKG")

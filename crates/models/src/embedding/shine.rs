@@ -290,10 +290,6 @@ impl Recommender for Shine {
         "SHINE"
     }
 
-    fn fit_epochs(&self) -> usize {
-        self.config.epochs
-    }
-
     fn taxonomy(&self) -> Taxonomy {
         taxonomy_of("SHINE")
     }

@@ -140,10 +140,6 @@ impl Recommender for ProPpr {
         "ProPPR"
     }
 
-    fn fit_epochs(&self) -> usize {
-        self.config.weight_epochs
-    }
-
     fn taxonomy(&self) -> Taxonomy {
         taxonomy_of("ProPPR")
     }

@@ -169,10 +169,6 @@ impl Recommender for AkupmLite {
         "AKUPM"
     }
 
-    fn fit_epochs(&self) -> usize {
-        self.config.epochs
-    }
-
     fn taxonomy(&self) -> Taxonomy {
         taxonomy_of("AKUPM")
     }

@@ -269,10 +269,6 @@ impl Recommender for RippleNet {
         "RippleNet"
     }
 
-    fn fit_epochs(&self) -> usize {
-        self.config.epochs
-    }
-
     fn taxonomy(&self) -> Taxonomy {
         taxonomy_of("RippleNet")
     }

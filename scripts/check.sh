@@ -24,6 +24,33 @@ echo "== kgbench unit tests (traced serving path == Server::serve)"
 # stages still rebuild Server::serve.
 cargo test --manifest-path kgbench/Cargo.toml -q
 
+echo "== kgbench digest smoke (seed 2024, 1 s per workload, vs kgbench/baseline.json)"
+# Every workload must pass all its built-in checks (the per-request
+# slate-identity check among them), and the hot, cold and offline
+# digests must equal the committed seed-2024 digests. The ingest digest
+# depends on run length, so it is not compared. Timing is not judged
+# here: that is `kgbench compare`'s job.
+cargo run --release --offline --locked --quiet --manifest-path kgbench/Cargo.toml -- \
+  --seed 2024 --seconds 1 > target/kgbench_smoke.txt \
+  || { cat target/kgbench_smoke.txt; echo "FAIL: kgbench reported a failed check"; exit 1; }
+# "<workload> <digest>" pairs: from the baseline's digests_seed_2024
+# block, and from the run's `kgbench <workload>:` / `digest` lines.
+want=$(awk '/"digests_seed_2024"/ { on = 1; next }
+  on && /^  }/ { exit }
+  on && /^    "[a-z-]+": [{]/ { w = $1; gsub(/[":]/, "", w) }
+  on && /"value":/ { v = $2; gsub(/"/, "", v); print w, v }' kgbench/baseline.json)
+got=$(awk '/^kgbench [a-z-]+: seed/ { w = $2; sub(/:$/, "", w) }
+  /^  digest / { print w, $3 }' target/kgbench_smoke.txt)
+for w in serve-hot serve-cold offline-eval; do
+  expected=$(echo "$want" | awk -v w="$w" '$1 == w { print $2 }')
+  actual=$(echo "$got" | awk -v w="$w" '$1 == w { print $2 }')
+  if [ -z "$expected" ] || [ "$expected" != "$actual" ]; then
+    echo "FAIL: kgbench $w digest ${actual:-missing} != baseline ${expected:-missing}"
+    exit 1
+  fi
+  echo "   $w digest $actual matches the baseline"
+done
+
 echo "== kglint --strict (all synthetic scenarios)"
 cargo run --release -p kgrec-check --bin kglint -- --strict --json-out kglint_bundle.json
 test -s kglint_bundle.json || { echo "FAIL: kglint_bundle.json missing"; exit 1; }
@@ -48,10 +75,6 @@ diff -u /tmp/kgrec_t1.txt /tmp/kgrec_t4.txt \
   || { echo "FAIL: metrics differ between 1 and 4 threads"; exit 1; }
 echo "   identical at 1 and 4 threads"
 
-echo "== benchmark baseline (BENCH_eval.json)"
-./target/release/eval_suite --quick --bench --threads 4 > /dev/null
-test -s BENCH_eval.json || { echo "FAIL: BENCH_eval.json missing"; exit 1; }
-
 echo "== kernel microbenchmarks + regression gate (BENCH_kernels.json vs baseline)"
 # No pipe into `head` here: closing the reader early would SIGPIPE the
 # printing binary and fail the gate under `pipefail`. The gate fails on
@@ -74,13 +97,13 @@ else
 fi
 test -s BENCH_scale.json || { echo "FAIL: BENCH_scale.json missing"; exit 1; }
 
-echo "== serve bench (two-stage pipeline, cache, reload drill, p99 budget)"
+echo "== serve bench (two-stage pipeline, cache, p99 budget)"
 # Every push replays smoke traffic (30k requests, 20k users) with a hard
 # p99 latency budget baked into the binary (exit 2 on breach). The full
 # 1M-user replay runs behind KGREC_SERVE_FULL=1 next to the scale drill.
-# Gates: checksums identical across uncached/cached phases, hot reload
-# accepts a good generation and degrades on a poisoned one, warm cache
-# beats the uncached pipeline at p50.
+# Gates: checksums identical across uncached/cached phases, warm cache
+# beats the uncached pipeline at p50. Hot reload is pinned by the
+# kgrec-serve unit tests above.
 if [ "${KGREC_SERVE_FULL:-0}" = "1" ]; then
   cargo run --release -p kgrec-bench --bin serve_bench -- --full --threads 4 --out BENCH_serve.json
 else
