@@ -2,6 +2,7 @@
 
 use crate::grad::GradBatch;
 use kgrec_graph::{EntityId, RelationId, Triple};
+use kgrec_linalg::EmbeddingTable;
 
 /// A trainable knowledge-graph embedding model.
 ///
@@ -26,8 +27,15 @@ pub trait KgeModel: Send + Sync {
     /// Plausibility score of the triple (higher = more plausible).
     fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32;
 
+    /// The entity table: row `k` is the latent vector `e_k`, one row per
+    /// entity. Callers that read many rows per call (the serving ranker)
+    /// fetch it once instead of dispatching per row.
+    fn entity_table(&self) -> &EmbeddingTable;
+
     /// The entity latent vector `e_k`.
-    fn entity_embedding(&self, e: EntityId) -> &[f32];
+    fn entity_embedding(&self, e: EntityId) -> &[f32] {
+        self.entity_table().row(e.index())
+    }
 
     /// The relation latent vector `r_k`.
     fn relation_embedding(&self, r: RelationId) -> &[f32];

@@ -575,6 +575,8 @@ mod tests {
         pairs_per_epoch: usize,
         pairs_seen: usize,
         state: Vec<f32>,
+        /// Constant zero entity rows; only the marker is trained.
+        entities: kgrec_linalg::EmbeddingTable,
     }
 
     impl KgeModel for Scripted {
@@ -590,8 +592,8 @@ mod tests {
         fn score(&self, _h: EntityId, _r: kgrec_graph::RelationId, _t: EntityId) -> f32 {
             0.0
         }
-        fn entity_embedding(&self, _e: EntityId) -> &[f32] {
-            &self.state
+        fn entity_table(&self) -> &kgrec_linalg::EmbeddingTable {
+            &self.entities
         }
         fn relation_embedding(&self, _r: kgrec_graph::RelationId) -> &[f32] {
             &self.state
@@ -641,6 +643,7 @@ mod tests {
             pairs_per_epoch: g.num_triples(),
             pairs_seen: 0,
             state: vec![-1.0],
+            entities: kgrec_linalg::EmbeddingTable::zeros(1024, 1),
         }
     }
 

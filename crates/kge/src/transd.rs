@@ -269,8 +269,8 @@ impl KgeModel for TransD {
         -self.distance(h, r, t)
     }
 
-    fn entity_embedding(&self, e: EntityId) -> &[f32] {
-        self.entities.row(e.index())
+    fn entity_table(&self) -> &EmbeddingTable {
+        &self.entities
     }
 
     fn relation_embedding(&self, r: RelationId) -> &[f32] {

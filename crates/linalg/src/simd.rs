@@ -24,16 +24,27 @@
 //!   transcripts are only valid with the feature off.
 //!
 //!   The batched `dot8` scores one query against [`LANES`] rows at once
-//!   with one accumulator per *row*, not per lane: each chain adds its
-//!   row's products in exactly `dot`'s sequential order, and the eight
-//!   independent chains hide the add latency a single `dot` is bound by.
-//!   Every output is therefore bitwise equal to `dot(x, ys[c])` in the
-//!   default build; under `fast-math` `dot8` calls `dot` per row, so the
-//!   equality holds there too.
+//!   with one accumulator per *row*, not per lane: lanes hold rows. It
+//!   loads the next four values of every row as one block, and the
+//!   inner loop reads those blocks column by column, so the compiler
+//!   emits whole-register loads plus 4 × 4 transposes instead of one
+//!   scalar load per row and column. The transposes only move values:
+//!   each product `x[i] * ys[c][i]` is the same single rounding as in
+//!   `dot`, and lane `c` still adds row `c`'s products one at a time for
+//!   ascending `i` (no fused multiply-add, no reassociation), so every
+//!   output is bitwise equal to `dot(x, ys[c])` in the default build.
+//!   The eight independent chains also hide the add latency a single
+//!   `dot` is bound by. Under `fast-math` `dot8` calls `dot` per row, so
+//!   the equality holds there too.
 
 /// Lane width of every blocked kernel. Eight `f32`s fill one AVX2
 /// register (or two NEON registers), the widest unit portably available.
 pub const LANES: usize = 8;
+
+/// Columns per step of the default [`dot8`]: one 4 × `f32` block of each
+/// row fills one SSE2 register, the vector width every x86-64 target has.
+#[cfg(not(feature = "fast-math"))]
+const BLOCK: usize = 4;
 
 /// Largest multiple of [`LANES`] not exceeding `n`.
 #[inline]
@@ -104,9 +115,13 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 
 /// `[dot(x, ys[0]), …, dot(x, ys[LANES - 1])]` in one pass over `x`.
 ///
-/// Eight independent accumulator chains, one per row; chain `c` adds
-/// `x[i] * ys[c][i]` for ascending `i`, exactly [`dot`]'s order, so every
-/// output is bitwise equal to the single-row kernel.
+/// Lane `c` of the accumulator holds row `c`. Each step loads the next
+/// four values of every row and of `x`, then walks that block column by
+/// column: the `LANES × 4` load is transposed so that column `k` holds
+/// `ys[0][i + k], …, ys[LANES - 1][i + k]`, and lane `c` adds
+/// `x[i + k] * ys[c][i + k]` for `k = 0, 1, 2, 3` in turn. Row `c`'s chain
+/// therefore adds its products for ascending `i`, exactly [`dot`]'s order,
+/// so every output is bitwise equal to the single-row kernel.
 ///
 /// # Panics
 /// Panics if any row's length differs from `x.len()`.
@@ -117,10 +132,30 @@ pub fn dot8(x: &[f32], ys: [&[f32]; LANES]) -> [f32; LANES] {
     for y in &ys {
         assert_eq!(y.len(), n, "dot8: dimension mismatch");
     }
-    // Re-slicing to `n` lets the optimizer drop every bounds check below.
-    let ys = ys.map(|y| &y[..n]);
+    let (xb, xr) = x.as_chunks::<BLOCK>();
+    let m = xb.len();
+    // One named slice of exactly `m` blocks per row lets the optimizer
+    // drop every bounds check in the loop; an array of slices keeps them.
+    let [y0, y1, y2, y3, y4, y5, y6, y7] = ys;
+    let y0 = &y0.as_chunks::<BLOCK>().0[..m];
+    let y1 = &y1.as_chunks::<BLOCK>().0[..m];
+    let y2 = &y2.as_chunks::<BLOCK>().0[..m];
+    let y3 = &y3.as_chunks::<BLOCK>().0[..m];
+    let y4 = &y4.as_chunks::<BLOCK>().0[..m];
+    let y5 = &y5.as_chunks::<BLOCK>().0[..m];
+    let y6 = &y6.as_chunks::<BLOCK>().0[..m];
+    let y7 = &y7.as_chunks::<BLOCK>().0[..m];
     let mut acc = [0.0f32; LANES];
-    for (i, &a) in x.iter().enumerate() {
+    for (j, xs) in xb.iter().enumerate() {
+        let block = [y0[j], y1[j], y2[j], y3[j], y4[j], y5[j], y6[j], y7[j]];
+        for k in 0..BLOCK {
+            for c in 0..LANES {
+                acc[c] += xs[k] * block[c][k];
+            }
+        }
+    }
+    let tail = n - xr.len();
+    for (i, &a) in (tail..).zip(xr) {
         for c in 0..LANES {
             acc[c] += a * ys[c][i];
         }

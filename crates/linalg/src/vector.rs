@@ -335,22 +335,29 @@ pub fn top_k_into(x: &[f32], k: usize, idx: &mut Vec<usize>) {
 /// score ranks as `-inf`: below every finite score, ties by position.
 /// The buffer never grows past `k`, so with capacity `k` reserved up
 /// front this never allocates. `O(1)` for a rejected pair, `O(k)` for
-/// an accepted one.
-pub fn top_k_offer<T>(keys: &mut Vec<f32>, vals: &mut Vec<T>, k: usize, score: f32, val: T) {
+/// an accepted one: the new pair enters at the bottom (appended, or in
+/// place of the evicted worst) and every kept pair with a strictly
+/// smaller key shifts down one slot past it, so no memmove and no
+/// binary search runs.
+pub fn top_k_offer<T: Copy>(keys: &mut Vec<f32>, vals: &mut Vec<T>, k: usize, score: f32, val: T) {
     let key = if score.is_nan() { f32::NEG_INFINITY } else { score };
-    if keys.len() >= k {
-        match keys.last() {
-            Some(&worst) if key > worst => {
-                keys.pop();
-                vals.pop();
-            }
-            _ => return,
-        }
+    let mut at = keys.len();
+    if at < k {
+        keys.push(key);
+        vals.push(val);
+    } else if k == 0 || key <= keys[at - 1] {
+        return;
+    } else {
+        at -= 1;
     }
     // After every earlier pair with a key >= this one.
-    let at = keys.partition_point(|&s| s >= key);
-    keys.insert(at, key);
-    vals.insert(at, val);
+    while at > 0 && keys[at - 1] < key {
+        keys[at] = keys[at - 1];
+        vals[at] = vals[at - 1];
+        at -= 1;
+    }
+    keys[at] = key;
+    vals[at] = val;
 }
 
 #[cfg(test)]

@@ -10,9 +10,15 @@
 //! Deduplication uses a generation-stamped marker array (`seen[v] ==
 //! epoch` means item `v` was already taken this request): bumping
 //! `epoch` resets all marks in O(1), so no per-request clearing pass
-//! over `num_items` entries.
+//! over `num_items` entries. The stamps are narrow ([`Stamp`]), so one
+//! clearing pass runs when the generation wraps, once per 65,535
+//! requests.
 
 use kgrec_data::ItemId;
+
+/// One dedup stamp. Narrow, so the marks of a large catalogue stay in
+/// cache; [`ServeScratch::begin`] clears them when the generation wraps.
+pub(crate) type Stamp = u16;
 
 /// Reusable buffers for one serving worker.
 #[derive(Debug)]
@@ -26,9 +32,9 @@ pub struct ServeScratch {
     /// User profile vector (model dimension).
     pub(crate) profile: Vec<f32>,
     /// Generation-stamped dedup marks, one per item.
-    pub(crate) seen: Vec<u64>,
+    pub(crate) seen: Vec<Stamp>,
     /// Current request generation for `seen`.
-    pub(crate) epoch: u64,
+    pub(crate) epoch: Stamp,
     /// Final ranked top-K item ids; during stage 2, the running
     /// selection parallel to `scores`.
     pub(crate) out: Vec<ItemId>,
@@ -55,12 +61,19 @@ impl ServeScratch {
         &self.out
     }
 
-    /// Starts a new request: bumps the dedup generation and clears the
-    /// candidate buffer. O(1); never allocates.
+    /// Starts a new request: bumps the dedup generation, clears the
+    /// candidate buffer and returns the generation. O(1) except once per
+    /// wrap of the generation, when every mark is reset so that no stale
+    /// mark can equal a reused generation; never allocates.
     #[inline]
-    pub(crate) fn begin(&mut self) {
-        self.epoch += 1;
+    pub(crate) fn begin(&mut self) -> Stamp {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
         self.cand.clear();
+        self.epoch
     }
 }
 
@@ -81,5 +94,19 @@ mod tests {
         // The stale mark from epoch 1 is invisible at epoch 2.
         s.begin();
         assert_ne!(s.seen[1], s.epoch);
+    }
+
+    #[test]
+    fn generation_wrap_clears_every_mark() {
+        let mut s = ServeScratch::new(4, 2, 8, 3);
+        // Marks left by generations 1 and MAX, the two that could be
+        // confused with the first generations after the wrap.
+        s.seen[1] = 1;
+        s.seen[2] = Stamp::MAX;
+        s.epoch = Stamp::MAX - 1;
+        assert_eq!(s.begin(), Stamp::MAX);
+        assert_eq!(s.seen[2], s.epoch, "no reset before the wrap");
+        assert_eq!(s.begin(), 1, "generation 0 is never handed out");
+        assert!(s.seen.iter().all(|&m| m == 0), "a mark survived the wrap");
     }
 }

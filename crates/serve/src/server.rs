@@ -46,7 +46,9 @@ impl<T: KgeModel + Persistable + Send + Sync> ServedModel for T {
 pub struct ServeConfig {
     /// Results returned per request.
     pub k: usize,
-    /// History window used for expansion and profile building.
+    /// History window used for expansion and profile building: the
+    /// `max_history` highest item ids of the user's history (histories
+    /// are kept sorted by item id, so this is not a recency window).
     pub max_history: usize,
     /// Items taken per shared-attribute entity in stage 1.
     pub max_attr_items: usize,
@@ -87,8 +89,9 @@ impl Default for ServeConfig {
 /// vocabulary: `Ok` — newest generation loaded, probed finite, swapped
 /// in; `Retried` — same, but the store fell back past unusable
 /// generations first; `Degraded` — the candidate was rejected (load
-/// error, non-finite probe score, or a panic while probing) and the
-/// previous model kept serving.
+/// error, a dimension other than the serving model's, fewer entities
+/// than the graph, non-finite probe score, or a panic while probing) and
+/// the previous model kept serving.
 #[derive(Debug)]
 pub struct ReloadOutcome {
     /// Supervisor-style status label for reports.
@@ -274,8 +277,9 @@ impl Server {
     ///
     /// `fresh` must be a factory-fresh model of the expected shape (the
     /// restore-into contract); the store's recovery chain picks the
-    /// newest usable generation. Before the swap the candidate is
-    /// validated through the *serving* scorer on a deterministic
+    /// newest usable generation. Before the swap the candidate must have
+    /// the serving model's dimension and a row for every graph entity,
+    /// and is then validated through the *serving* scorer on a deterministic
     /// `probe_users × probe_items` grid under panic isolation — the same
     /// degraded/failed semantics the training supervisor applies after
     /// `fit`. Any rejection leaves the previous model serving and the
@@ -297,8 +301,31 @@ impl Server {
                 }
             }
         };
+        // Worker scratches are sized for the serving model's dimension, and
+        // every graph entity must have a row: the probe grid alone need
+        // not reach either mismatch, but every later miss would panic.
+        let serving_dim = self.model.read().expect("model lock poisoned").model.as_kge().dim();
+        let (dim, entities) = (fresh.as_kge().dim(), fresh.as_kge().num_entities());
+        let shape_error = if dim != serving_dim {
+            Some(format!("dimension {dim} differs from the serving dimension {serving_dim}"))
+        } else if entities < self.index.graph().num_entities() {
+            Some(format!(
+                "{entities} entities cannot cover the graph's {}",
+                self.index.graph().num_entities()
+            ))
+        } else {
+            None
+        };
+        if let Some(e) = shape_error {
+            return ReloadOutcome {
+                status: FitStatus::Degraded,
+                generation: None,
+                skipped: recovery.skipped.len(),
+                reason: Some(format!("generation {} rejected: {e}", recovery.generation)),
+            };
+        }
         let interactions = self.interactions();
-        let mut profile = vec![0.0f32; fresh.as_kge().dim()];
+        let mut profile = vec![0.0f32; dim];
         let users = self.num_users().min(self.config.probe_users);
         let items = self.index.num_items().min(self.config.probe_items);
         let probed = probe_grid(users, items, |u, i| {
@@ -341,7 +368,7 @@ impl Server {
 
 /// Items ordered most popular first (interaction count descending, item
 /// id ascending on ties).
-fn popularity_order(interactions: &InteractionMatrix) -> Vec<u32> {
+pub(crate) fn popularity_order(interactions: &InteractionMatrix) -> Vec<u32> {
     let counts = interactions.item_popularity();
     let mut order: Vec<u32> = (0..counts.len() as u32).collect();
     order.sort_unstable_by(|&a, &b| counts[b as usize].cmp(&counts[a as usize]).then(a.cmp(&b)));
@@ -486,6 +513,51 @@ mod tests {
         assert!(server.serve(UserId(0), &mut s), "cache must survive a rejected reload");
         assert_eq!(s.top_k(), &before[..]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Saves a TransE of dimension `dim` with `missing` fewer entities
+    /// than the graph as the store's newest generation, serves user 0
+    /// once from a dimension-8 model, reloads into a fresh model of the
+    /// saved shape, and asserts that the reload was rejected with
+    /// `reason_part` while the old model keeps serving every user.
+    fn assert_reload_rejected(tag: &str, dim: usize, missing: usize, reason_part: &str) {
+        let synth = generate(&ScenarioConfig::tiny(), 41);
+        let (ne, nr) = (synth.dataset.graph.num_entities(), synth.dataset.graph.num_relations());
+        let shaped = |seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            TransE::new(&mut rng, ne - missing, nr, dim, 1.0)
+        };
+        let dir =
+            std::env::temp_dir().join(format!("kgrec_serve_reload_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open store");
+        store.save(&shaped(43), tag).expect("save");
+        let model = fresh_model(&synth.dataset, 42);
+        let server = Server::new(synth.dataset, model, ServeConfig::default());
+        let mut s = server.make_scratch();
+        server.serve(UserId(0), &mut s);
+        let before = s.top_k().to_vec();
+        let outcome = server.reload(&store, Box::new(shaped(44)));
+        assert!(matches!(outcome.status, FitStatus::Degraded), "{outcome:?}");
+        assert_eq!(outcome.generation, None);
+        assert!(outcome.reason.as_deref().is_some_and(|r| r.contains(reason_part)), "{outcome:?}");
+        assert_eq!(server.model_generation(), 0, "old model must keep serving");
+        assert!(server.serve(UserId(0), &mut s), "cache must survive a rejected reload");
+        assert_eq!(s.top_k(), &before[..]);
+        for u in 0..server.num_users() as u32 {
+            server.compute_fresh(UserId(u), &mut s);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reload_with_another_dimension_is_rejected_and_serving_survives() {
+        assert_reload_rejected("dim", 16, 0, "dimension 16");
+    }
+
+    #[test]
+    fn reload_with_too_few_entities_is_rejected_and_serving_survives() {
+        assert_reload_rejected("entities", 8, 1, "entities cannot cover");
     }
 
     /// The slate `compute_fresh` must produce for `user`, given the

@@ -83,8 +83,8 @@ fn train_boxed(m: &mut dyn KgeModel, graph: &kgrec_graph::KnowledgeGraph, cfg: &
         ) -> f32 {
             self.0.score(h, r, t)
         }
-        fn entity_embedding(&self, e: kgrec_graph::EntityId) -> &[f32] {
-            self.0.entity_embedding(e)
+        fn entity_table(&self) -> &kgrec_linalg::EmbeddingTable {
+            self.0.entity_table()
         }
         fn relation_embedding(&self, r: kgrec_graph::RelationId) -> &[f32] {
             self.0.relation_embedding(r)

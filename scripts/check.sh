@@ -21,8 +21,10 @@ cargo test -q -p kgrec-linalg --features fast-math
 echo "== kgbench unit tests (traced serving path == Server::serve)"
 # kgbench is a package of its own, outside the workspace, so the line
 # above does not reach it. Its mirror test is the oracle that the traced
-# stages still rebuild Server::serve.
-cargo test --manifest-path kgbench/Cargo.toml -q
+# stages still rebuild Server::serve. `--locked` as in BENCHMARK.json's
+# command: a dependency added to a crate kgbench builds against must fail
+# here, not silently rewrite kgbench/Cargo.lock and pass.
+cargo test --offline --locked --manifest-path kgbench/Cargo.toml -q
 
 echo "== kgbench digest smoke (seed 2024, 1 s per workload, vs kgbench/baseline.json)"
 # Every workload must pass all its built-in checks (the per-request

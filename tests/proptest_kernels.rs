@@ -38,6 +38,27 @@ fn arb_vec(n: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(arb_val(), n)
 }
 
+/// [`arb_val`]s; with `plant`, about one value in eight is `+inf`,
+/// `-inf` or NaN instead.
+fn arb_vec_with_specials(n: usize, plant: bool) -> impl Strategy<Value = Vec<f32>> {
+    let specials = if plant { 0..24u8 } else { 3..24u8 };
+    prop::collection::vec(
+        (specials, arb_val()).prop_map(|(sel, v)| match sel {
+            0 => f32::INFINITY,
+            1 => f32::NEG_INFINITY,
+            2 => f32::NAN,
+            _ => v,
+        }),
+        n,
+    )
+}
+
+/// Bitwise equal, or both NaN: the bit identity the kernels promise, with
+/// a NaN's payload left open.
+fn same_value(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
@@ -174,25 +195,36 @@ proptest! {
 
     #[test]
     fn dot8_rows_match_dot(
-        (x, rows) in (0usize..68).prop_flat_map(|n| {
-            (arb_vec(n), prop::collection::vec(arb_vec(n), simd::LANES))
+        (x, rows) in (0usize..68, any::<bool>()).prop_flat_map(|(n, plant)| {
+            let row = move || arb_vec_with_specials(n, plant);
+            (row(), prop::collection::vec(row(), simd::LANES))
         }),
     ) {
-        // Lengths 0..=67 cover every remainder mod 8 around the blocks.
+        // Lengths 0..=67 cover every remainder mod 8 and mod 4 around the
+        // blocks. Half the cases are finite; in the rest, planted ±inf and
+        // NaN make inf - inf, inf * 0 and NaN chains reach the lanes.
         let got = simd::dot8(&x, std::array::from_fn(|c| rows[c].as_slice()));
         for (c, row) in rows.iter().enumerate() {
-            prop_assert_eq!(got[c].to_bits(), simd::dot(&x, row).to_bits(), "row {}", c);
+            let mut sequential = 0.0f32;
+            for i in 0..x.len() {
+                sequential += x[i] * row[i];
+            }
+            prop_assert!(same_value(got[c], sequential), "row {}: {} vs scalar {}", c, got[c], sequential);
+            prop_assert!(same_value(got[c], simd::dot(&x, row)), "row {}: {} vs dot", c, got[c]);
         }
     }
 
     #[test]
     fn streaming_top_k_matches_select(
         xs in prop::collection::vec(
-            (0u8..10, -3.0f32..3.0).prop_map(|(sel, v)| match sel {
+            (0u8..13, -3.0f32..3.0).prop_map(|(sel, v)| match sel {
                 0..=2 => 1.0,
                 3 => 0.0,
                 4 => -0.0,
                 5 | 6 => -1.0,
+                7 => f32::NAN,
+                8 => f32::INFINITY,
+                9 => f32::NEG_INFINITY,
                 _ => v,
             }),
             0..50,
@@ -200,7 +232,8 @@ proptest! {
         k_sel in 0u8..4,
         k_any in 0usize..55,
     ) {
-        // Heavy ties, ±0.0, and the k == 1 / k == n / k > n edges.
+        // Heavy ties, ±0.0, ±inf, NaN, and the k == 1 / k == n / k > n
+        // edges. A NaN ranks as -inf, tied with it by position.
         let k = match k_sel {
             0 => 1,
             1 => xs.len(),
@@ -211,9 +244,12 @@ proptest! {
         for (i, &s) in xs.iter().enumerate() {
             vector::top_k_offer(&mut keys, &mut vals, k, s, i);
         }
+        let ranked: Vec<f32> =
+            xs.iter().map(|&s| if s.is_nan() { f32::NEG_INFINITY } else { s }).collect();
         let mut want = Vec::new();
-        vector::top_k_into(&xs, k, &mut want);
-        prop_assert_eq!(vals, want);
+        vector::top_k_into(&ranked, k, &mut want);
+        prop_assert_eq!(&vals, &want);
+        prop_assert_eq!(&vals, &top_k_by_full_sort(&ranked, k));
     }
 
     #[test]
