@@ -5,10 +5,10 @@
 //! this rule is the safety net. It re-runs the structural scans the
 //! stores expose (`ColumnarInteractions::validate`,
 //! `CsrAdjacency::validate`, `ShardPlan::validate`) and converts every
-//! violation into an exact diagnostic: monotone offset arrays, aligned
-//! column lengths, in-range item/entity/relation ids, item-major index
-//! agreement, and — when a shard plan is attached — full coverage with no
-//! user split across shards.
+//! violation into an exact diagnostic: offset arrays that start at 0 and
+//! never decrease, aligned column lengths, in-range item/entity/relation
+//! ids, item-major index agreement, and — when a shard plan is attached —
+//! full coverage with no user split across shards.
 
 use crate::bundle::CheckBundle;
 use crate::diagnostic::{Diagnostic, Severity, Subject};

@@ -374,6 +374,60 @@ fn md007_fires_on_short_raw_parts_rating_column() {
 }
 
 #[test]
+fn md007_fires_on_nonzero_first_user_offset() {
+    let mut synth = tiny();
+    let (mut u_offsets, mut items, ratings, timestamps, i_offsets, i_users) =
+        raw_columns(&synth.dataset.interactions);
+    let n_users = synth.dataset.interactions.num_users();
+    let n_items = synth.dataset.interactions.num_items();
+    assert!(u_offsets[1] >= 1, "tiny user 0 has a row");
+    // Row 0 now precedes user 0's range, so no user owns it, and it
+    // holds an item outside the id space.
+    u_offsets[0] = 1;
+    items[0] = ItemId(n_items as u32 + 5);
+    synth.dataset.interactions =
+        InteractionMatrix::from_columnar(ColumnarInteractions::from_raw_parts(
+            n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
+        ));
+    let diags = md007_diags(&CheckBundle::new(&synth.dataset));
+    assert_eq!(diags.len(), 1, "diags: {diags:?}");
+    assert_eq!(diags[0].code, "MD007");
+    assert_eq!(diags[0].subject, Subject::Dataset);
+    assert!(
+        diags[0].message.contains("first user offset is 1, want 0"),
+        "message: {}",
+        diags[0].message
+    );
+}
+
+#[test]
+fn md007_fires_on_corrupted_item_user_column() {
+    let mut synth = tiny();
+    let (u_offsets, items, ratings, timestamps, i_offsets, mut i_users) =
+        raw_columns(&synth.dataset.interactions);
+    let n_users = synth.dataset.interactions.num_users();
+    let n_items = synth.dataset.interactions.num_items();
+    // Reverse the first audience of two or more users: same offsets,
+    // same multiset, wrong order.
+    let v = (0..n_items)
+        .find(|&v| i_offsets[v + 1] - i_offsets[v] >= 2)
+        .expect("tiny has an item with two users");
+    i_users[i_offsets[v] as usize..i_offsets[v + 1] as usize].reverse();
+    synth.dataset.interactions =
+        InteractionMatrix::from_columnar(ColumnarInteractions::from_raw_parts(
+            n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
+        ));
+    let diags = md007_diags(&CheckBundle::new(&synth.dataset));
+    assert_eq!(diags.len(), 1, "diags: {diags:?}");
+    assert_eq!(diags[0].subject, Subject::Dataset);
+    assert!(
+        diags[0].message.contains("item user column disagrees"),
+        "message: {}",
+        diags[0].message
+    );
+}
+
+#[test]
 fn md007_fires_on_out_of_range_csr_tail() {
     let mut synth = tiny();
     let ne = synth.dataset.graph.num_entities();

@@ -12,11 +12,23 @@
 //! payload columns are stored only when some row carries a value other
 //! than the sentinel (the `f32::NAN` bit pattern and [`NO_TIMESTAMP`]).
 //! Implicit feedback without event times — the survey's binary `R` —
-//! therefore costs the item column and the item-major index alone.
+//! therefore costs the item column and the offset arrays alone.
 //! [`ColumnarInteractions::ratings_of`] and
 //! [`ColumnarInteractions::timestamps_of`] serve an absent column as a
 //! prefix of one sentinel run per store, as long as the longest user
 //! history, so readers see the same per-row values either way.
+//!
+//! The item-major index is paid for only once something reads it. Its
+//! per-item offsets (O(items)) are counted eagerly, because
+//! [`ColumnarInteractions::item_degree`] and popularity read them. Its
+//! user column (4 B per row) is scattered on the first
+//! [`ColumnarInteractions::users_of`] call, once, behind a
+//! [`OnceLock`]. Only co-visitation readers need it (serving stage 1,
+//! SHINE, ItemKNN), so a generated store or a split half that only
+//! feeds other readers never holds it.
+//! [`ColumnarInteractions::build_item_index`] builds it ahead of time,
+//! which a server does before it publishes a store, so the request path
+//! never builds it.
 //!
 //! Two properties are load-bearing and pinned by tests:
 //!
@@ -31,6 +43,7 @@
 use crate::ids::{ItemId, UserId};
 use crate::interactions::Interaction;
 use kgrec_graph::id32;
+use std::sync::OnceLock;
 
 /// Timestamp sentinel for rows without an event time.
 pub const NO_TIMESTAMP: u64 = u64::MAX;
@@ -134,8 +147,9 @@ pub struct ColumnarInteractions {
     timestamps: Payload<u64>,
     /// Per-item row ranges into `i_users`, length `num_items + 1`.
     i_offsets: Vec<u32>,
-    /// User column of the item-major index, sorted within each item.
-    i_users: Vec<UserId>,
+    /// User column of the item-major index, sorted within each item;
+    /// scattered from the user-major columns on first read.
+    i_users: OnceLock<Vec<UserId>>,
 }
 
 /// One structural defect found by [`ColumnarInteractions::validate`].
@@ -147,6 +161,11 @@ pub enum ColumnarViolation {
         got: usize,
         /// Expected length (`num_users + 1`).
         want: usize,
+    },
+    /// `u_offsets[0]` is not 0, so the rows before it belong to no user.
+    UserOffsetStart {
+        /// `u_offsets[0]`.
+        got: u32,
     },
     /// `u_offsets[index] > u_offsets[index + 1]`.
     UserOffsetNotMonotone {
@@ -191,6 +210,9 @@ impl std::fmt::Display for ColumnarViolation {
         match self {
             ColumnarViolation::UserOffsetLength { got, want } => {
                 write!(f, "user offset array length {got}, want {want}")
+            }
+            ColumnarViolation::UserOffsetStart { got } => {
+                write!(f, "first user offset is {got}, want 0")
             }
             ColumnarViolation::UserOffsetNotMonotone { index } => {
                 write!(f, "user offset array decreases at index {index}")
@@ -249,7 +271,8 @@ impl ColumnarInteractions {
     /// Assembles a store from raw columns with **no validation**. Both
     /// payload columns count as stored, so an empty `ratings` or
     /// `timestamps` beside nonempty `items` is a length mismatch, not an
-    /// absent column.
+    /// absent column. The item-major index counts as built from
+    /// `i_offsets` and `i_users`.
     ///
     /// Exists for the kglint `MD007` corrupted fixtures; production code
     /// goes through [`Self::from_interactions`] or [`ColumnarBuilder`].
@@ -272,7 +295,7 @@ impl ColumnarInteractions {
             ratings: Payload::Stored(ratings),
             timestamps: Payload::Stored(timestamps),
             i_offsets,
-            i_users,
+            i_users: OnceLock::from(i_users),
         }
     }
 
@@ -316,11 +339,33 @@ impl ColumnarInteractions {
         self.timestamps.slice(self.user_range(user))
     }
 
-    /// Users who interacted with `item`, sorted by user id.
+    /// Users who interacted with `item`, sorted by user id. The first
+    /// call on a store builds its item-major user column (see
+    /// [`Self::build_item_index`]).
     #[inline]
     pub fn users_of(&self, item: ItemId) -> &[UserId] {
-        &self.i_users
+        &self.item_users()
             [self.i_offsets[item.index()] as usize..self.i_offsets[item.index() + 1] as usize]
+    }
+
+    /// Builds the user column of the item-major index unless it is built
+    /// already: a counting-sort scatter, O(rows + items), once per store.
+    /// Concurrent first readers wait for the one build.
+    pub fn build_item_index(&self) {
+        self.item_users();
+    }
+
+    /// Whether the user column of the item-major index is built.
+    pub fn has_item_index(&self) -> bool {
+        self.i_users.get().is_some()
+    }
+
+    /// The user column of the item-major index, built on first use.
+    #[inline]
+    fn item_users(&self) -> &[UserId] {
+        self.i_users.get_or_init(|| {
+            scatter_item_users(self.num_users, &self.u_offsets, &self.items, &self.i_offsets)
+        })
     }
 
     /// History length of `user`.
@@ -347,14 +392,15 @@ impl ColumnarInteractions {
 
     /// Heap bytes of the stored columns. An absent payload column counts
     /// nothing; its sentinel run (one longest history long, independent
-    /// of the row count) is left out.
+    /// of the row count) is left out. The item-major user column counts
+    /// only once it is built.
     pub fn memory_bytes(&self) -> usize {
         self.u_offsets.len() * 4
             + self.items.len() * 4
             + self.ratings.stored_bytes()
             + self.timestamps.stored_bytes()
             + self.i_offsets.len() * 4
-            + self.i_users.len() * 4
+            + self.i_users.get().map_or(0, |users| users.len() * 4)
     }
 
     /// Merges `batch` into the store: existing rows win over appended
@@ -413,7 +459,8 @@ impl ColumnarInteractions {
     /// FNV-1a digest over every column — a cheap byte-identity fingerprint
     /// for the ingest determinism tests. An absent payload column hashes
     /// as its per-row sentinels, so the digest depends on the row values
-    /// only, not on whether a column is stored.
+    /// only, not on whether a column is stored. The item-major index is
+    /// built first and hashed like every other column.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_usize(self.num_users);
@@ -434,16 +481,21 @@ impl ColumnarInteractions {
         for &o in &self.i_offsets {
             h.write_u32(o);
         }
-        for &u in &self.i_users {
+        for &u in self.item_users() {
             h.write_u32(u.0);
         }
         h.finish()
     }
 
-    /// Structural integrity scan: monotone offsets, consistent column
-    /// lengths, in-range strictly-sorted items, and an item-major index
-    /// that agrees with the user-major columns. An absent payload column
-    /// (builder-made stores only) has the row count as its length.
+    /// Structural integrity scan: offsets that start at 0 and never
+    /// decrease, consistent column lengths, in-range strictly-sorted
+    /// items, and an item-major index that agrees with the user-major
+    /// columns. An absent payload column (builder-made stores only) has
+    /// the row count as its length.
+    ///
+    /// The scan allocates O(items), never O(rows), and builds nothing:
+    /// it recounts the item offsets, and compares the item-major user
+    /// column in place only if a reader has built it.
     pub fn validate(&self) -> Vec<ColumnarViolation> {
         let mut out = Vec::new();
         if self.u_offsets.len() != self.num_users + 1 {
@@ -452,6 +504,9 @@ impl ColumnarInteractions {
                 want: self.num_users + 1,
             });
             return out;
+        }
+        if self.u_offsets[0] != 0 {
+            out.push(ColumnarViolation::UserOffsetStart { got: self.u_offsets[0] });
         }
         for i in 0..self.num_users {
             if self.u_offsets[i] > self.u_offsets[i + 1] {
@@ -489,30 +544,46 @@ impl ColumnarInteractions {
         if !out.is_empty() {
             return out;
         }
-        // Item-major index must be exactly the counting-sort transpose.
-        let rebuilt =
-            build_item_index(self.num_users, self.num_items, &self.u_offsets, &self.items);
-        if rebuilt.0 != self.i_offsets {
-            out.push(ColumnarViolation::ItemIndexMismatch {
-                detail: "item offsets disagree with user-major columns".into(),
-            });
-        } else if rebuilt.1 != self.i_users {
-            out.push(ColumnarViolation::ItemIndexMismatch {
-                detail: "item user column disagrees with user-major columns".into(),
-            });
+        if let Some(detail) = self.item_index_mismatch() {
+            out.push(ColumnarViolation::ItemIndexMismatch { detail: detail.into() });
         }
         out
     }
+
+    /// How the item-major index disagrees with the (already validated)
+    /// user-major columns, if it does: it must be exactly their
+    /// counting-sort transpose.
+    fn item_index_mismatch(&self) -> Option<&'static str> {
+        if self.i_offsets.len() != self.num_items + 1 {
+            return Some("item offset array has the wrong length");
+        }
+        let mut cursor = count_item_offsets(self.num_items, &self.items);
+        if cursor != self.i_offsets {
+            return Some("item offsets disagree with user-major columns");
+        }
+        let i_users = self.i_users.get()?;
+        if i_users.len() != self.items.len() {
+            return Some("item user column has the wrong length");
+        }
+        // Walk the rows in the order the scatter writes them: with the
+        // offsets verified, every slot is visited exactly once.
+        for u in 0..self.num_users {
+            let user = UserId(id32(u));
+            for &item in self.items_of(user) {
+                let slot = &mut cursor[item.index()];
+                if i_users[*slot as usize] != user {
+                    return Some("item user column disagrees with user-major columns");
+                }
+                *slot += 1;
+            }
+        }
+        None
+    }
 }
 
-/// Builds the item-major `(i_offsets, i_users)` index from user-major
-/// columns via counting sort — O(rows + items), no comparison sort.
-fn build_item_index(
-    num_users: usize,
-    num_items: usize,
-    u_offsets: &[u32],
-    items: &[ItemId],
-) -> (Vec<u32>, Vec<UserId>) {
+/// The item-major offsets of an item column: per-item row ranges into
+/// the item-major user column, length `num_items + 1`. O(rows + items).
+fn count_item_offsets(num_items: usize, items: &[ItemId]) -> Vec<u32> {
     let mut i_offsets = vec![0u32; num_items + 1];
     for &it in items {
         i_offsets[it.index() + 1] += 1;
@@ -520,7 +591,19 @@ fn build_item_index(
     for i in 0..num_items {
         i_offsets[i + 1] += i_offsets[i];
     }
-    let mut cursor = i_offsets.clone();
+    i_offsets
+}
+
+/// The item-major user column for `i_offsets`, scattered from the
+/// user-major columns by counting sort — O(rows + items), no comparison
+/// sort.
+fn scatter_item_users(
+    num_users: usize,
+    u_offsets: &[u32],
+    items: &[ItemId],
+    i_offsets: &[u32],
+) -> Vec<UserId> {
+    let mut cursor = i_offsets.to_vec();
     let mut i_users = vec![UserId(0); items.len()];
     // User-major iteration emits users in increasing order per item, so
     // each item's audience comes out sorted.
@@ -531,7 +614,7 @@ fn build_item_index(
             *slot += 1;
         }
     }
-    (i_offsets, i_users)
+    i_users
 }
 
 /// Streaming builder: rows are pushed in `(user, item)` order (strictly
@@ -615,14 +698,14 @@ impl ColumnarBuilder {
         self.items.push(item);
     }
 
-    /// Finalizes the columns and builds the item-major index.
+    /// Finalizes the columns and counts the item-major offsets; the
+    /// item-major user column is left to its first reader.
     pub fn finish(self) -> ColumnarInteractions {
         let mut u_offsets = vec![0u32; self.num_users + 1];
         for (u, &c) in self.counts.iter().enumerate() {
             u_offsets[u + 1] = u_offsets[u] + c;
         }
-        let (i_offsets, i_users) =
-            build_item_index(self.num_users, self.num_items, &u_offsets, &self.items);
+        let i_offsets = count_item_offsets(self.num_items, &self.items);
         let max_degree = self.counts.iter().max().map_or(0, |&c| c as usize);
         ColumnarInteractions {
             num_users: self.num_users,
@@ -632,7 +715,7 @@ impl ColumnarBuilder {
             ratings: Payload::from_built(self.ratings, max_degree),
             timestamps: Payload::from_built(self.timestamps, max_degree),
             i_offsets,
-            i_users,
+            i_users: OnceLock::new(),
         }
     }
 }
@@ -778,11 +861,112 @@ mod tests {
             .iter()
             .any(|v| matches!(v, ColumnarViolation::ItemOutOfRange { row: 0, .. })));
         let mut c = ColumnarInteractions::from_interactions(3, 4, &rows());
-        c.i_users[1] = UserId(1);
+        c.build_item_index();
+        c.i_users.get_mut().expect("built")[1] = UserId(1);
         assert!(c
             .validate()
             .iter()
             .any(|v| matches!(v, ColumnarViolation::ItemIndexMismatch { .. })));
+    }
+
+    #[test]
+    fn validate_reports_nonzero_first_user_offset() {
+        // Row 0 precedes user 0's range and holds an out-of-range item.
+        let c = ColumnarInteractions::from_raw_parts(
+            2,
+            2,
+            vec![1, 1, 2],
+            vec![ItemId(5), ItemId(0)],
+            vec![f32::NAN; 2],
+            vec![NO_TIMESTAMP; 2],
+            vec![0, 1, 1],
+            vec![UserId(1)],
+        );
+        assert_eq!(c.validate(), [ColumnarViolation::UserOffsetStart { got: 1 }]);
+    }
+
+    #[test]
+    fn validate_leaves_an_unbuilt_index_unbuilt() {
+        let c = ColumnarInteractions::from_interactions(3, 4, &rows());
+        assert!(!c.has_item_index());
+        assert!(c.validate().is_empty());
+        assert!(!c.has_item_index());
+        assert_eq!(c.users_of(ItemId(1)), &[UserId(0), UserId(2)]);
+        assert!(c.has_item_index());
+        assert!(c.validate().is_empty());
+    }
+
+    /// `from_raw_parts` over `c`'s columns with `i_offsets` and `i_users`
+    /// replaced.
+    fn with_item_index(
+        c: &ColumnarInteractions,
+        i_offsets: Vec<u32>,
+        i_users: Vec<UserId>,
+    ) -> ColumnarInteractions {
+        ColumnarInteractions::from_raw_parts(
+            c.num_users,
+            c.num_items,
+            c.u_offsets.clone(),
+            c.items.clone(),
+            c.ratings.values(c.num_rows()).collect(),
+            c.timestamps.values(c.num_rows()).collect(),
+            i_offsets,
+            i_users,
+        )
+    }
+
+    #[test]
+    fn validate_compares_a_raw_item_index() {
+        let c = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let (offsets, users) = (c.i_offsets.clone(), c.item_users().to_vec());
+        assert!(with_item_index(&c, offsets.clone(), users.clone()).validate().is_empty());
+        let mismatch = |detail: &str| {
+            vec![ColumnarViolation::ItemIndexMismatch { detail: detail.to_string() }]
+        };
+        let mut swapped = users.clone();
+        swapped.swap(1, 2); // item 1's audience [0, 2] now reads [2, 0]
+        assert_eq!(
+            with_item_index(&c, offsets.clone(), swapped).validate(),
+            mismatch("item user column disagrees with user-major columns")
+        );
+        assert_eq!(
+            with_item_index(&c, offsets.clone(), users[1..].to_vec()).validate(),
+            mismatch("item user column has the wrong length")
+        );
+        let mut shifted = offsets.clone();
+        shifted[1] += 1;
+        assert_eq!(
+            with_item_index(&c, shifted, users.clone()).validate(),
+            mismatch("item offsets disagree with user-major columns")
+        );
+        for len in [0, offsets.len() - 1, offsets.len() + 1] {
+            let mut resized = offsets.clone();
+            resized.resize(len, 4);
+            assert_eq!(
+                with_item_index(&c, resized, users.clone()).validate(),
+                mismatch("item offset array has the wrong length"),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_first_readers_share_one_index() {
+        let c = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let twin = ColumnarInteractions::from_interactions(3, 4, &rows());
+        twin.build_item_index();
+        let seen: Vec<Vec<&[UserId]>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..4).map(|i| c.users_of(ItemId(i))).collect::<Vec<_>>()))
+                .collect();
+            readers.into_iter().map(|r| r.join().expect("reader panicked")).collect()
+        });
+        let want: Vec<&[UserId]> = (0..4).map(|i| twin.users_of(ItemId(i))).collect();
+        for audiences in &seen {
+            assert_eq!(audiences, &want);
+            // Every reader sees the same column, not a copy of it.
+            assert!(audiences.iter().zip(&seen[0]).all(|(a, b)| std::ptr::eq(*a, *b)));
+        }
     }
 
     #[test]
@@ -816,9 +1000,19 @@ mod tests {
             .collect()
     }
 
-    /// Bytes of the item column, both offset arrays and the item index.
+    /// Bytes of the item column, both offset arrays and the built
+    /// item-major user column.
     fn index_bytes(c: &ColumnarInteractions) -> usize {
         (c.u_offsets.len() + 2 * c.num_rows() + c.i_offsets.len()) * 4
+    }
+
+    /// Asserts `c`'s `memory_bytes` is `index_bytes` plus `payload`, less
+    /// the user column until it is built, and builds it.
+    fn assert_memory_bytes(c: &ColumnarInteractions, payload: usize) {
+        assert!(!c.has_item_index());
+        assert_eq!(c.memory_bytes() + c.num_rows() * 4, index_bytes(c) + payload);
+        c.build_item_index();
+        assert_eq!(c.memory_bytes(), index_bytes(c) + payload);
     }
 
     #[test]
@@ -842,7 +1036,7 @@ mod tests {
                 }
             }
             let payload = if k.is_some() { 6 * (4 + 8) } else { 0 };
-            assert_eq!(c.memory_bytes(), index_bytes(&c) + payload, "payload at {k:?}");
+            assert_memory_bytes(&c, payload);
         }
     }
 
@@ -857,7 +1051,7 @@ mod tests {
                 Interaction::implicit(UserId(2), ItemId(3)),
             ],
         );
-        assert_eq!(c.memory_bytes(), index_bytes(&c));
+        assert_memory_bytes(&c, 0);
         assert!(matches!(c.ratings, Payload::Absent { .. }));
         assert!(matches!(c.timestamps, Payload::Absent { .. }));
         assert_eq!(c.timestamps_of(UserId(2)), &[NO_TIMESTAMP, NO_TIMESTAMP]);
@@ -878,7 +1072,7 @@ mod tests {
         assert!(matches!(c.ratings, Payload::Stored(_)));
         let bits: Vec<u32> = c.ratings_of(UserId(0)).iter().map(|r| r.to_bits()).collect();
         assert_eq!(bits, [f32::NAN.to_bits(), odd_nan.to_bits()]);
-        assert_eq!(c.memory_bytes(), index_bytes(&c) + 2 * 4);
+        assert_memory_bytes(&c, 2 * 4);
     }
 
     #[test]
@@ -906,7 +1100,7 @@ mod tests {
             vec![f32::NAN; 6],
             vec![NO_TIMESTAMP; 6],
             built.i_offsets.clone(),
-            built.i_users.clone(),
+            built.item_users().to_vec(),
         );
         assert!(raw.validate().is_empty());
         assert_eq!(built.digest(), raw.digest());
@@ -923,7 +1117,7 @@ mod tests {
             Vec::new(),
             vec![NO_TIMESTAMP; 6],
             built.i_offsets.clone(),
-            built.i_users.clone(),
+            built.item_users().to_vec(),
         );
         assert_eq!(
             raw.validate(),

@@ -44,6 +44,12 @@ use kgrec_linalg::{vector, EmbeddingTable};
 /// capped at `config.max_candidates`; each expansion source is prefix-
 /// truncated by its own cap, so per-request cost is bounded regardless
 /// of node degree.
+///
+/// `interactions` must have its item-major index built
+/// (`ColumnarInteractions::build_item_index`), as a [`Server`] does
+/// before it publishes a store: building it here would allocate.
+///
+/// [`Server`]: crate::Server
 pub fn candidates_for(
     index: &ServeIndex,
     interactions: &InteractionMatrix,
@@ -52,6 +58,10 @@ pub fn candidates_for(
     config: &ServeConfig,
     scratch: &mut ServeScratch,
 ) {
+    debug_assert!(
+        interactions.columnar().has_item_index(),
+        "stage 1 reads a store whose item-major index is not built"
+    );
     let epoch = scratch.begin();
     let budget = config.max_candidates;
     let ServeScratch { cand, seen, .. } = scratch;
@@ -325,6 +335,7 @@ mod tests {
     fn assert_same_candidates(dataset: KgDataset, configs: &[ServeConfig]) -> [usize; 3] {
         let KgDataset { interactions, graph, item_entities, .. } = dataset;
         let index = ServeIndex::build(graph, item_entities);
+        interactions.columnar().build_item_index();
         let pop = popularity_order(&interactions);
         let mut cuts = [0usize; 3];
         for config in configs {
@@ -342,6 +353,19 @@ mod tests {
             }
         }
         cuts
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "item-major index is not built")]
+    fn stage_one_refuses_a_store_without_its_item_index() {
+        let KgDataset { interactions, graph, item_entities, .. } =
+            generate(&ScenarioConfig::tiny(), 31).dataset;
+        let index = ServeIndex::build(graph, item_entities);
+        let pop = popularity_order(&interactions);
+        let config = ServeConfig::default();
+        let mut scratch = ServeScratch::new(index.num_items(), 1, config.max_candidates, 1);
+        candidates_for(&index, &interactions, &pop, UserId(0), &config, &mut scratch);
     }
 
     #[test]

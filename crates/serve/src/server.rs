@@ -142,7 +142,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds a server from a dataset and an initial model.
+    /// Builds a server from a dataset and an initial model. The live
+    /// store's item-major index is built here, so stage 1 never builds it.
     ///
     /// # Panics
     /// If `config.k` is 0 or exceeds 255, or if the model's entity space
@@ -156,6 +157,7 @@ impl Server {
             graph.num_entities()
         );
         let num_users = interactions.num_users();
+        interactions.columnar().build_item_index();
         let pop_order = popularity_order(&interactions);
         let index = ServeIndex::build(graph, item_entities);
         let cache = TopKCache::new(config.cache_capacity, config.cache_shards, config.k);
@@ -243,7 +245,8 @@ impl Server {
     }
 
     /// Appends an interaction batch to the live matrix and invalidates
-    /// the touched users' cache entries.
+    /// the touched users' cache entries. The new matrix's item-major index
+    /// is built before it is published.
     ///
     /// Publication order is the staleness-safety invariant: the new
     /// matrix (and its popularity order) is installed *first*, then each
@@ -261,6 +264,7 @@ impl Server {
         let _serialize = self.ingest_lock.lock().expect("ingest lock poisoned");
         let current = Arc::clone(&self.live.read().expect("live lock poisoned").interactions);
         let appended = current.append(batch);
+        appended.columnar().build_item_index();
         let pop_order = Arc::new(popularity_order(&appended));
         {
             let mut live = self.live.write().expect("live lock poisoned");
@@ -641,6 +645,26 @@ mod tests {
     fn fresh_model_shape(ne: usize, nr: usize, seed: u64) -> Box<dyn ServedModel> {
         let mut rng = StdRng::seed_from_u64(seed);
         Box::new(TransE::new(&mut rng, ne, nr, 8, 1.0))
+    }
+
+    #[test]
+    fn live_store_index_is_built_by_new_and_every_ingest() {
+        let server = tiny_server(29, ServeConfig::default());
+        assert!(server.interactions().columnar().has_item_index(), "after new");
+        let mut s = server.make_scratch();
+        for round in 0..3u32 {
+            let before = server.interactions();
+            let user = UserId(round);
+            let item = (0..before.num_items() as u32)
+                .map(ItemId)
+                .find(|&v| !before.contains(user, v))
+                .expect("tiny users have unseen items");
+            server.ingest(&[Interaction::implicit(user, item)]);
+            let after = server.interactions();
+            assert!(!Arc::ptr_eq(&before, &after), "ingest {round} published no new store");
+            assert!(after.columnar().has_item_index(), "after ingest {round}");
+            server.serve(user, &mut s);
+        }
     }
 
     #[test]

@@ -229,6 +229,53 @@ proptest! {
         }
     }
 
+    /// The item-major user column is built on first read, yet a store —
+    /// built in one shot or by `append`, cloned before or after that
+    /// read — reads exactly like a twin whose column was built at once.
+    /// `validate` builds nothing, and a clone's column is its own.
+    #[test]
+    fn lazy_item_index_reads_like_an_eagerly_built_twin(
+        (nu, ni, rows) in arb_rows(),
+        cut_seed in 0usize..1000,
+    ) {
+        let twin = ColumnarInteractions::from_interactions(nu, ni, &rows);
+        twin.build_item_index();
+        let cut = cut_seed % (rows.len() + 1);
+        let lazy =
+            ColumnarInteractions::from_interactions(nu, ni, &rows[..cut]).append(&rows[cut..]);
+        prop_assert!(!lazy.has_item_index());
+        prop_assert!(lazy.validate().is_empty());
+        prop_assert!(!lazy.has_item_index());
+        prop_assert_eq!(lazy.memory_bytes() + 4 * lazy.num_rows(), twin.memory_bytes());
+        let popularity = |c: &ColumnarInteractions| {
+            InteractionMatrix::from_columnar(c.clone()).item_popularity()
+        };
+        prop_assert_eq!(popularity(&lazy), popularity(&twin));
+
+        let cloned_before = lazy.clone();
+        let first = lazy.users_of(ItemId(0)).to_vec();
+        prop_assert!(lazy.has_item_index());
+        prop_assert!(!cloned_before.has_item_index());
+        prop_assert_eq!(first.as_slice(), twin.users_of(ItemId(0)));
+        let cloned_after = lazy.clone();
+        prop_assert!(cloned_after.has_item_index());
+
+        for c in [&lazy, &cloned_before, &cloned_after] {
+            for i in 0..ni as u32 {
+                prop_assert_eq!(c.users_of(ItemId(i)), twin.users_of(ItemId(i)));
+                prop_assert_eq!(c.item_degree(ItemId(i)), twin.item_degree(ItemId(i)));
+            }
+            prop_assert_eq!(popularity(c), popularity(&twin));
+            prop_assert_eq!(c.digest(), twin.digest());
+            prop_assert_eq!(c.memory_bytes(), twin.memory_bytes());
+            prop_assert!(c.validate().is_empty());
+        }
+        // `digest` builds the column of a store nothing has read yet.
+        let unread = ColumnarInteractions::from_interactions(nu, ni, &rows);
+        prop_assert_eq!(unread.digest(), twin.digest());
+        prop_assert!(unread.has_item_index());
+    }
+
     /// For every shard count, iterating the shards in order replays the
     /// unsharded row and triple streams bit-for-bit, and the plan both
     /// validates and covers every row exactly once.
