@@ -11,7 +11,7 @@
 
 use kgrec_core::explain::Explainer;
 use kgrec_core::{Recommender, TrainContext};
-use kgrec_data::interactions::{Interaction, InteractionMatrix};
+use kgrec_data::{Interaction, InteractionMatrix};
 use kgrec_data::{ItemId, KgDataset, UserId};
 use kgrec_graph::KgBuilder;
 use kgrec_models::embedding::Cfkg;

@@ -7,11 +7,11 @@
 //!    ([`kgrec_data::synth::generate_streaming`]; no intermediate
 //!    interaction list);
 //! 2. **validate** — strict kglint pass over the generated bundle plus
-//!    columnar/CSR/shard integrity scans;
+//!    the columnar-store and CSR integrity scans;
 //! 3. **split** — RNG-free streaming `systematic_holdout` (1/5 test);
 //! 4. **fit** — supervised fit with checkpointing (MostPop: the drill
 //!    measures the data layer, not model quality);
-//! 5. **eval** — sharded CTR protocol over the full labeled pair set
+//! 5. **eval** — parallel CTR protocol over the full labeled pair set
 //!    (top-K full ranking is intentionally excluded at this scale);
 //! 6. **ingest** — append a 1% interaction batch, then prove the
 //!    warm-start path resumes from the checkpoint (`attempts == 0`);
@@ -39,7 +39,7 @@ use kgrec_core::Recommender;
 use kgrec_data::negative::labeled_eval_set;
 use kgrec_data::split::systematic_holdout;
 use kgrec_data::synth::generate_streaming;
-use kgrec_data::{Interaction, ItemId, KgDataset, ScenarioConfig, ShardedDataset, UserId};
+use kgrec_data::{Interaction, ItemId, KgDataset, ScenarioConfig, UserId};
 use kgrec_models::baselines::MostPop;
 use kgrec_store::CheckpointStore;
 use rand::rngs::StdRng;
@@ -122,7 +122,7 @@ fn main() {
     let synth = generate_streaming(&config, SEED);
     let generate_s = t0.elapsed().as_secs_f64();
     let rows = synth.dataset.interactions.num_interactions();
-    let store = synth.dataset.interactions.columnar();
+    let store = &synth.dataset.interactions;
     let unindexed_bytes = store.memory_bytes();
     store.build_item_index();
     let store_bytes = store.memory_bytes();
@@ -170,28 +170,14 @@ fn main() {
         println!("  validate: kglint FAILED (strict)\n{}", report.render());
         gates_green = false;
     }
-    let store_violations = synth.dataset.interactions.columnar().validate();
-    let sharded = ShardedDataset::new(&split.train, &synth.dataset.graph, threads.max(1) * 4);
-    let plan_violations = sharded.plan().validate(split.train.columnar());
-    let shard_rows: usize =
-        (0..sharded.num_shards()).map(|s| sharded.user_shard(s).num_rows()).sum();
-    let shards_cover = shard_rows == split.train.num_interactions();
-    if !store_violations.is_empty() || !plan_violations.is_empty() || !shards_cover {
-        println!(
-            "  validate: integrity FAILED ({} store, {} plan violations, coverage {shards_cover})",
-            store_violations.len(),
-            plan_violations.len()
-        );
+    let store_violations = synth.dataset.interactions.validate();
+    if !store_violations.is_empty() {
+        println!("  validate: integrity FAILED ({} store violations)", store_violations.len());
         gates_green = false;
     }
     let validate_phase = Phase::new("validate", t0.elapsed().as_secs_f64(), rows)
-        .with("lint_clean", lint_clean.to_string())
-        .with("shards", sharded.num_shards().to_string());
-    println!(
-        "  validate: kglint + integrity clean in {:.2}s ({} shards)",
-        validate_phase.seconds,
-        sharded.num_shards()
-    );
+        .with("lint_clean", lint_clean.to_string());
+    println!("  validate: kglint + integrity clean in {:.2}s", validate_phase.seconds);
     phases.push(validate_phase);
 
     // 4. Supervised, checkpointed fit.
@@ -211,7 +197,7 @@ fn main() {
     println!("  fit: {} attempt(s) in {:.2}s", cold.attempts, fit_phase.seconds);
     phases.push(fit_phase);
 
-    // 5. Sharded CTR evaluation over every labeled pair. The protocol's
+    // 5. Parallel CTR evaluation over every labeled pair. The protocol's
     // report squashes scores through a f32 sigmoid, which saturates for
     // MostPop's raw counts at this scale (every score → 1.0, AUC → 0.5
     // by ties); the signal gate therefore ranks *raw* scores instead.

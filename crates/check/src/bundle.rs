@@ -2,7 +2,7 @@
 
 use kgrec_data::negative::LabeledPair;
 use kgrec_data::split::Split;
-use kgrec_data::{InteractionMatrix, KgDataset, ShardPlan};
+use kgrec_data::{InteractionMatrix, KgDataset};
 use kgrec_models::unified::{KgatConfig, KgcnConfig, RippleNetConfig};
 
 /// A named float buffer attached for non-finite auditing (MD004): learned
@@ -80,9 +80,6 @@ pub struct CheckBundle<'a> {
     pub metapath_schemas: Vec<Vec<String>>,
     /// Float buffers to audit for non-finite values (MD004).
     pub float_audits: Vec<FloatAudit<'a>>,
-    /// Optional shard plan over the training matrix (enables the MD007
-    /// shard-boundary checks; the store scans run regardless).
-    pub shard_plan: Option<&'a ShardPlan>,
     /// Hop budget for the KG005 reachability analysis.
     pub max_hops: usize,
 }
@@ -98,7 +95,6 @@ impl<'a> CheckBundle<'a> {
             hyperparams: Vec::new(),
             metapath_schemas: Vec::new(),
             float_audits: Vec::new(),
-            shard_plan: None,
             max_hops: 3,
         }
     }
@@ -130,13 +126,6 @@ impl<'a> CheckBundle<'a> {
     /// Attaches a float buffer for non-finite auditing.
     pub fn with_float_audit(mut self, label: &'a str, values: &'a [f32]) -> Self {
         self.float_audits.push(FloatAudit { label, values });
-        self
-    }
-
-    /// Attaches a shard plan for the MD007 boundary checks. The plan is
-    /// validated against [`Self::train`] — the matrix it partitions.
-    pub fn with_shard_plan(mut self, plan: &'a ShardPlan) -> Self {
-        self.shard_plan = Some(plan);
         self
     }
 

@@ -16,22 +16,22 @@
 //! | `MD003` | model/meta    | hop/dim/learning-rate hyper-parameters in valid ranges |
 //! | `MD004` | model/meta    | non-finite values in attached float buffers |
 //! | `MD005` | model/meta    | learning-rate hyper-parameters finite and positive |
-//! | `MD007` | data layout   | columnar/CSR/shard-plan structural integrity |
+//! | `MD007` | data layout   | columnar-store/CSR structural integrity |
 //!
 //! The source-scanning rules (`kglint --src`: `SA000`–`SA006` and the
 //! ported `MD006`) live in their own registry — see [`crate::srclint`].
 
 mod data;
 mod kg;
+mod layout;
 mod model;
-mod shard;
 
 pub use data::{EmptyRows, IdSpaceMismatch, NegativeCollisions, SplitLeakage};
 pub use kg::{Alignment, DanglingIds, DuplicateTriples, IsolatedItems, UnreachableEntities};
+pub use layout::LayoutIntegrity;
 pub use model::{
     HyperParamRanges, LearningRateSanity, MetaPathSchemas, NonFiniteValues, RegistryConsistency,
 };
-pub use shard::ShardIntegrity;
 
 use crate::bundle::CheckBundle;
 use crate::diagnostic::Diagnostic;
@@ -67,7 +67,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(HyperParamRanges),
         Box::new(NonFiniteValues),
         Box::new(LearningRateSanity),
-        Box::new(ShardIntegrity),
+        Box::new(LayoutIntegrity),
     ]
 }
 

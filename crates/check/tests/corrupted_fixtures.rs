@@ -12,9 +12,7 @@ use kgrec_data::columnar::ColumnarViolation;
 use kgrec_data::negative::LabeledPair;
 use kgrec_data::split::{ratio_split, Split};
 use kgrec_data::synth::{generate, ScenarioConfig, SyntheticDataset};
-use kgrec_data::{
-    ColumnarInteractions, Interaction, InteractionMatrix, ItemId, KgDataset, ShardPlan, UserId,
-};
+use kgrec_data::{Interaction, InteractionMatrix, ItemId, KgDataset, UserId};
 use kgrec_graph::{CsrAdjacency, EntityId, KnowledgeGraph, RelationId, Triple};
 use std::collections::BTreeSet;
 
@@ -272,9 +270,8 @@ fn md004_fires_on_non_finite_float_buffer() {
 /// with one corruption through the unchecked `from_raw_parts` path.
 #[allow(clippy::type_complexity)]
 fn raw_columns(
-    m: &InteractionMatrix,
+    c: &InteractionMatrix,
 ) -> (Vec<u32>, Vec<ItemId>, Vec<f32>, Vec<u64>, Vec<u32>, Vec<UserId>) {
-    let c = m.columnar();
     let u_offsets = c.u_offsets().to_vec();
     let mut items = Vec::new();
     let mut ratings = Vec::new();
@@ -297,7 +294,7 @@ fn raw_columns(
 
 /// Runs MD007 alone so the diagnostic set is exact.
 fn md007_diags(bundle: &CheckBundle<'_>) -> Vec<kgrec_check::Diagnostic> {
-    CheckReport::run_rules(bundle, &[Box::new(rules::ShardIntegrity) as Box<dyn Rule>]).diagnostics
+    CheckReport::run_rules(bundle, &[Box::new(rules::LayoutIntegrity) as Box<dyn Rule>]).diagnostics
 }
 
 #[test]
@@ -314,10 +311,9 @@ fn md007_fires_on_unsorted_user_history() {
         .expect("tiny has a multi-row user");
     let s = u_offsets[u] as usize;
     items.swap(s, s + 1);
-    synth.dataset.interactions =
-        InteractionMatrix::from_columnar(ColumnarInteractions::from_raw_parts(
-            n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
-        ));
+    synth.dataset.interactions = InteractionMatrix::from_raw_parts(
+        n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
+    );
     let diags = md007_diags(&CheckBundle::new(&synth.dataset));
     assert_eq!(diags.len(), 1, "diags: {diags:?}");
     assert_eq!(diags[0].code, "MD007");
@@ -338,10 +334,9 @@ fn md007_fires_on_non_monotone_user_offsets() {
     let n_users = synth.dataset.interactions.num_users();
     let n_items = synth.dataset.interactions.num_items();
     u_offsets[1] = u_offsets[n_users]; // offset array now decreases at index 1
-    synth.dataset.interactions =
-        InteractionMatrix::from_columnar(ColumnarInteractions::from_raw_parts(
-            n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
-        ));
+    synth.dataset.interactions = InteractionMatrix::from_raw_parts(
+        n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
+    );
     let diags = md007_diags(&CheckBundle::new(&synth.dataset));
     assert_eq!(diags.len(), 1, "diags: {diags:?}");
     assert_eq!(diags[0].subject, Subject::User(1));
@@ -357,11 +352,10 @@ fn md007_fires_on_short_raw_parts_rating_column() {
     let n_items = synth.dataset.interactions.num_items();
     let rows = items.len();
     ratings.pop(); // one row short: raw parts never mean "absent column"
-    synth.dataset.interactions =
-        InteractionMatrix::from_columnar(ColumnarInteractions::from_raw_parts(
-            n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
-        ));
-    let violations = synth.dataset.interactions.columnar().validate();
+    synth.dataset.interactions = InteractionMatrix::from_raw_parts(
+        n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
+    );
+    let violations = synth.dataset.interactions.validate();
     assert_eq!(
         violations,
         [ColumnarViolation::ColumnLengthMismatch { lengths: (rows, rows - 1, rows) }]
@@ -385,10 +379,9 @@ fn md007_fires_on_nonzero_first_user_offset() {
     // holds an item outside the id space.
     u_offsets[0] = 1;
     items[0] = ItemId(n_items as u32 + 5);
-    synth.dataset.interactions =
-        InteractionMatrix::from_columnar(ColumnarInteractions::from_raw_parts(
-            n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
-        ));
+    synth.dataset.interactions = InteractionMatrix::from_raw_parts(
+        n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
+    );
     let diags = md007_diags(&CheckBundle::new(&synth.dataset));
     assert_eq!(diags.len(), 1, "diags: {diags:?}");
     assert_eq!(diags[0].code, "MD007");
@@ -413,10 +406,9 @@ fn md007_fires_on_corrupted_item_user_column() {
         .find(|&v| i_offsets[v + 1] - i_offsets[v] >= 2)
         .expect("tiny has an item with two users");
     i_users[i_offsets[v] as usize..i_offsets[v + 1] as usize].reverse();
-    synth.dataset.interactions =
-        InteractionMatrix::from_columnar(ColumnarInteractions::from_raw_parts(
-            n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
-        ));
+    synth.dataset.interactions = InteractionMatrix::from_raw_parts(
+        n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
+    );
     let diags = md007_diags(&CheckBundle::new(&synth.dataset));
     assert_eq!(diags.len(), 1, "diags: {diags:?}");
     assert_eq!(diags[0].subject, Subject::Dataset);
@@ -440,33 +432,6 @@ fn md007_fires_on_out_of_range_csr_tail() {
     assert_eq!(diags[0].subject, Subject::Triple(0));
     assert!(
         diags[0].message.contains("adjacency") && diags[0].message.contains("out of entity range"),
-        "message: {}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn md007_fires_on_shard_plan_splitting_a_user() {
-    let synth = tiny();
-    let split = ratio_split(&synth.dataset.interactions, 0.2, 11);
-    let good = ShardPlan::balanced(split.train.columnar(), 3);
-
-    // Sanity: the intact plan passes the whole default rule set.
-    let clean = CheckBundle::new(&synth.dataset).with_split(&split).with_shard_plan(&good);
-    assert!(!codes(&clean).contains("MD007"), "clean plan tripped MD007");
-
-    let mut rows = good.row_bounds().to_vec();
-    rows[1] += 1; // cut through the boundary user's history
-    let bad = ShardPlan::from_raw_parts(good.num_users(), good.user_bounds().to_vec(), rows);
-    let bundle = CheckBundle::new(&synth.dataset).with_split(&split).with_shard_plan(&bad);
-    assert!(codes(&bundle).contains("MD007"));
-
-    let diags = md007_diags(&bundle);
-    assert_eq!(diags.len(), 1, "diags: {diags:?}");
-    assert_eq!(diags[0].subject, Subject::User(good.user_bounds()[1]));
-    assert!(
-        diags[0].message.contains("shard plan")
-            && diags[0].message.contains("splits a user across shards"),
         "message: {}",
         diags[0].message
     );
@@ -544,12 +509,25 @@ fn at_least_eight_rules_demonstrably_fire() {
             .with_float_audit("loss", &nan), // MD004
     ));
 
-    // Data layout: a shard plan that splits a user (MD007).
-    let good = ShardPlan::balanced(synth.dataset.interactions.columnar(), 3);
-    let mut rows = good.row_bounds().to_vec();
-    rows[1] += 1;
-    let torn = ShardPlan::from_raw_parts(good.num_users(), good.user_bounds().to_vec(), rows);
-    fired.extend(codes(&CheckBundle::new(&synth.dataset).with_shard_plan(&torn)));
+    // Data layout: an item audience out of user order (MD007).
+    let mut torn = tiny();
+    let (u_offsets, items, ratings, timestamps, i_offsets, mut i_users) =
+        raw_columns(&torn.dataset.interactions);
+    let v = (0..m.num_items())
+        .find(|&v| i_offsets[v + 1] - i_offsets[v] >= 2)
+        .expect("tiny has an item with two users");
+    i_users[i_offsets[v] as usize..i_offsets[v + 1] as usize].reverse();
+    torn.dataset.interactions = InteractionMatrix::from_raw_parts(
+        m.num_users(),
+        m.num_items(),
+        u_offsets,
+        items,
+        ratings,
+        timestamps,
+        i_offsets,
+        i_users,
+    );
+    fired.extend(codes(&CheckBundle::new(&torn.dataset)));
 
     assert!(fired.len() >= 8, "only {} distinct rules fired: {:?}", fired.len(), fired);
     for code in [

@@ -77,8 +77,8 @@ impl<'a> Explainer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgrec_data::interactions::{Interaction, InteractionMatrix};
     use kgrec_data::KgDataset;
+    use kgrec_data::{Interaction, InteractionMatrix};
     use kgrec_graph::KgBuilder;
 
     /// The Figure 1 microcosm: Bob watched Interstellar; Avatar shares its

@@ -7,7 +7,7 @@
 //! reports Precision/Recall/NDCG/HitRate at the requested cutoffs plus
 //! MRR.
 //!
-//! Both protocols have `_par` variants that shard the work (pairs /
+//! Both protocols have `_par` variants that split the work (pairs /
 //! users) across the deterministic worker pool of [`kgrec_linalg::par`];
 //! reductions run in fixed input order, so the parallel reports are
 //! bit-identical to the serial ones at any thread count.
@@ -15,8 +15,8 @@
 use crate::metrics;
 use crate::recommender::Recommender;
 use kgrec_data::negative::LabeledPair;
-use kgrec_data::shard::{even_ranges, ShardPlan};
 use kgrec_data::{InteractionMatrix, UserId};
+use kgrec_graph::id32;
 use kgrec_linalg::par;
 
 /// CTR-protocol result.
@@ -77,19 +77,16 @@ pub fn evaluate_ctr_par<M: Recommender + ?Sized>(
 ) -> CtrReport {
     let score_one =
         |p: &LabeledPair| (kgrec_linalg::vector::sigmoid(model.score(p.user, p.item)), p.positive);
-    let scored: Vec<(f32, bool)> = if threads <= 1 || pairs.len() < 2 {
-        pairs.iter().map(score_one).collect()
-    } else {
-        // Chunked so the per-item pool overhead amortizes over cheap
-        // score calls; chunk boundaries cannot affect results because
-        // scoring is per-pair and reassembly is in input order.
-        let chunks: Vec<&[LabeledPair]> =
-            even_ranges(pairs.len(), threads * 4).into_iter().map(|r| &pairs[r]).collect();
+    // Chunked so the per-item pool overhead amortizes over cheap score
+    // calls; chunk boundaries cannot affect results because scoring is
+    // per-pair and reassembly is in input order.
+    let chunks: Vec<&[LabeledPair]> =
+        pairs.chunks(pairs.len().div_ceil(threads.max(1) * 4).max(1)).collect();
+    let scored: Vec<(f32, bool)> =
         par::par_map(&chunks, threads, |_, c| c.iter().map(score_one).collect::<Vec<_>>())
             .into_iter()
             .flatten()
-            .collect()
-    };
+            .collect();
     CtrReport {
         auc: metrics::auc(&scored).unwrap_or(0.5),
         accuracy: metrics::accuracy(&scored, 0.5).unwrap_or(0.0),
@@ -113,13 +110,12 @@ pub fn evaluate_topk<M: Recommender + ?Sized>(
 
 /// Runs the full-ranking top-K protocol on up to `threads` workers.
 ///
-/// The test matrix is cut into [`ShardPlan::balanced`] user-range shards
-/// (balanced by test-row count, never splitting a user); each worker
-/// ranks its shard's users and computes their per-user metric
-/// contributions independently. Shards are flattened in shard order —
-/// ascending user order, exactly the serial loop's accumulation order —
-/// before the serial mean reduction, so every metric is bit-identical to
-/// [`evaluate_topk`] regardless of thread or shard count.
+/// Each test user with positives is ranked, and its per-user metric
+/// contributions computed, as one pool item; the pool balances users of
+/// uneven cost. Contributions come back in ascending user order, exactly
+/// the serial loop's accumulation order, before the serial mean
+/// reduction, so every metric is bit-identical to [`evaluate_topk`]
+/// regardless of thread count.
 pub fn evaluate_topk_par<M: Recommender + ?Sized>(
     model: &M,
     train: &InteractionMatrix,
@@ -129,14 +125,9 @@ pub fn evaluate_topk_par<M: Recommender + ?Sized>(
 ) -> TopKReport {
     let max_k = ks.iter().copied().max().unwrap_or(0);
     // Per-user contribution: [precision, recall, ndcg, hit] per cutoff,
-    // plus MRR. `None` marks users without test positives.
-    type UserContribution = Option<(Vec<[f64; 4]>, f64)>;
-    let contribute = |u: u32| -> UserContribution {
-        let user = UserId(u);
+    // plus MRR.
+    let contribute = |user: UserId| -> (Vec<[f64; 4]>, f64) {
         let relevant: Vec<u32> = test.items_of(user).iter().map(|i| i.0).collect();
-        if relevant.is_empty() {
-            return None;
-        }
         let exclude = train.items_of(user);
         let recs = model.recommend(user, max_k.max(model.num_items()), exclude);
         let ranked: Vec<u32> = recs.iter().map(|(i, _)| i.0).collect();
@@ -151,18 +142,16 @@ pub fn evaluate_topk_par<M: Recommender + ?Sized>(
                 ]
             })
             .collect();
-        Some((cutoffs, metrics::mrr(&ranked, &relevant)))
+        (cutoffs, metrics::mrr(&ranked, &relevant))
     };
-    // Over-shard 4x so row-imbalanced shards still keep workers busy.
-    let plan = ShardPlan::balanced(test.columnar(), threads.max(1) * 4);
-    let shard_ids: Vec<usize> = (0..plan.num_shards()).collect();
-    let per_shard: Vec<Vec<UserContribution>> =
-        par::par_map(&shard_ids, threads, |_, &s| plan.user_range(s).map(contribute).collect());
+    let users: Vec<UserId> = (0..test.num_users())
+        .map(|u| UserId(id32(u)))
+        .filter(|&u| test.user_degree(u) > 0)
+        .collect();
+    let per_user = par::par_map(&users, threads, |_, &u| contribute(u));
     let mut sums: Vec<[f64; 4]> = vec![[0.0; 4]; ks.len()];
     let mut mrr_sum = 0.0f64;
-    let mut users = 0usize;
-    for (cutoffs, mrr) in per_shard.into_iter().flatten().flatten() {
-        users += 1;
+    for (cutoffs, mrr) in per_user {
         for (sum, contribution) in sums.iter_mut().zip(cutoffs) {
             for (s, c) in sum.iter_mut().zip(contribution) {
                 *s += c;
@@ -170,7 +159,7 @@ pub fn evaluate_topk_par<M: Recommender + ?Sized>(
         }
         mrr_sum += mrr;
     }
-    let denom = users.max(1) as f64;
+    let denom = users.len().max(1) as f64;
     TopKReport {
         cutoffs: ks
             .iter()
@@ -184,7 +173,7 @@ pub fn evaluate_topk_par<M: Recommender + ?Sized>(
             })
             .collect(),
         mrr: mrr_sum / denom,
-        users_evaluated: users,
+        users_evaluated: users.len(),
     }
 }
 

@@ -1,32 +1,33 @@
-//! Columnar interaction storage: sorted user/item/rating/timestamp
-//! columns behind a per-user `u32` offset index.
+//! The user feedback matrix `R ∈ {0,1}^{m×n}` (survey Section 3), stored
+//! columnar: sorted user/item/rating/timestamp columns behind a per-user
+//! `u32` offset index.
 //!
-//! This is the million-user replacement for per-user interaction `Vec`s:
-//! one contiguous column per attribute (structure of arrays), user-major
-//! sorted by `(user, item)`, plus an item-major index for audience scans.
-//! [`crate::InteractionMatrix`] is a thin facade over this module — the
-//! survey models keep their familiar accessors while the storage
-//! underneath is flat, compact, and appendable.
+//! [`InteractionMatrix`] holds one contiguous column per attribute
+//! (structure of arrays), user-major sorted by `(user, item)`, plus an
+//! item-major index for audience scans: the models scan both directions
+//! (user histories for preference propagation, item audiences for ItemKNN
+//! and diffusion). The storage is flat, compact and appendable, which is
+//! what carries it to a million users.
 //!
 //! The store pays only for data it holds. The `ratings` and `timestamps`
 //! payload columns are stored only when some row carries a value other
 //! than the sentinel (the `f32::NAN` bit pattern and [`NO_TIMESTAMP`]).
 //! Implicit feedback without event times — the survey's binary `R` —
 //! therefore costs the item column and the offset arrays alone.
-//! [`ColumnarInteractions::ratings_of`] and
-//! [`ColumnarInteractions::timestamps_of`] serve an absent column as a
+//! [`InteractionMatrix::ratings_of`] and
+//! [`InteractionMatrix::timestamps_of`] serve an absent column as a
 //! prefix of one sentinel run per store, as long as the longest user
 //! history, so readers see the same per-row values either way.
 //!
 //! The item-major index is paid for only once something reads it. Its
 //! per-item offsets (O(items)) are counted eagerly, because
-//! [`ColumnarInteractions::item_degree`] and popularity read them. Its
+//! [`InteractionMatrix::item_degree`] and popularity read them. Its
 //! user column (4 B per row) is scattered on the first
-//! [`ColumnarInteractions::users_of`] call, once, behind a
+//! [`InteractionMatrix::users_of`] call, once, behind a
 //! [`OnceLock`]. Only co-visitation readers need it (serving stage 1,
 //! SHINE, ItemKNN), so a generated store or a split half that only
 //! feeds other readers never holds it.
-//! [`ColumnarInteractions::build_item_index`] builds it ahead of time,
+//! [`InteractionMatrix::build_item_index`] builds it ahead of time,
 //! which a server does before it publishes a store, so the request path
 //! never builds it.
 //!
@@ -35,7 +36,7 @@
 //! * **Dedup order** — duplicate `(user, item)` pairs collapse keeping the
 //!   FIRST occurrence of the input order (stable sort + first-wins dedup),
 //!   exactly like the pointer-based predecessor.
-//! * **Append equivalence** — [`ColumnarInteractions::append`] produces a
+//! * **Append equivalence** — [`InteractionMatrix::append`] produces a
 //!   store byte-identical to a one-shot build over the concatenated input
 //!   (existing rows win over appended rows; first-wins within a batch),
 //!   which is what makes incremental ingest deterministic.
@@ -132,9 +133,10 @@ impl<T: Sentinel> Payload<T> {
     }
 }
 
-/// Sorted columnar interaction store (user-major) with an item-major index.
+/// The binary feedback matrix `R` with optional ratings and timestamps:
+/// a sorted columnar store (user-major) with an item-major index.
 #[derive(Debug, Clone)]
-pub struct ColumnarInteractions {
+pub struct InteractionMatrix {
     num_users: usize,
     num_items: usize,
     /// Per-user row ranges, length `num_users + 1`, monotone.
@@ -152,7 +154,7 @@ pub struct ColumnarInteractions {
     i_users: OnceLock<Vec<UserId>>,
 }
 
-/// One structural defect found by [`ColumnarInteractions::validate`].
+/// One structural defect found by [`InteractionMatrix::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColumnarViolation {
     /// `u_offsets` has the wrong length for the user count.
@@ -240,7 +242,7 @@ impl std::fmt::Display for ColumnarViolation {
     }
 }
 
-impl ColumnarInteractions {
+impl InteractionMatrix {
     /// Builds the store from an interaction list. Duplicate `(user, item)`
     /// pairs collapse keeping the first occurrence of the input order
     /// (stable sort, first-wins dedup).
@@ -309,8 +311,8 @@ impl ColumnarInteractions {
         self.num_items
     }
 
-    /// Number of stored rows `|R|`.
-    pub fn num_rows(&self) -> usize {
+    /// Number of observed interactions `|R|` (stored rows).
+    pub fn num_interactions(&self) -> usize {
         self.items.len()
     }
 
@@ -385,7 +387,24 @@ impl ColumnarInteractions {
         self.items_of(user).binary_search(&item).is_ok()
     }
 
-    /// Raw user offset column (integrity checks and shard planning).
+    /// Iterates over all `(user, item, rating)` triples, user-major.
+    pub fn iter(&self) -> impl Iterator<Item = (UserId, ItemId, f32)> + '_ {
+        (0..self.num_users).flat_map(move |u| {
+            let user = UserId(id32(u));
+            self.items_of(user)
+                .iter()
+                .zip(self.ratings_of(user).iter())
+                .map(move |(&i, &r)| (user, i, r))
+        })
+    }
+
+    /// Item popularity vector (audience sizes), length `n`.
+    pub fn item_popularity(&self) -> Vec<usize> {
+        (0..self.num_items).map(|i| self.item_degree(ItemId(id32(i)))).collect()
+    }
+
+    /// Raw user offset column (integrity fixtures and degree-weighted
+    /// user sampling).
     pub fn u_offsets(&self) -> &[u32] {
         &self.u_offsets
     }
@@ -421,7 +440,7 @@ impl ColumnarInteractions {
         add.dedup_by_key(|it| (it.user.0, it.item.0));
 
         let mut builder = ColumnarBuilder::new(self.num_users, self.num_items);
-        builder.reserve(self.num_rows() + add.len());
+        builder.reserve(self.num_interactions() + add.len());
         let mut b = 0usize; // cursor into `add`
         for u in 0..self.num_users {
             let user = UserId(id32(u));
@@ -700,14 +719,14 @@ impl ColumnarBuilder {
 
     /// Finalizes the columns and counts the item-major offsets; the
     /// item-major user column is left to its first reader.
-    pub fn finish(self) -> ColumnarInteractions {
+    pub fn finish(self) -> InteractionMatrix {
         let mut u_offsets = vec![0u32; self.num_users + 1];
         for (u, &c) in self.counts.iter().enumerate() {
             u_offsets[u + 1] = u_offsets[u] + c;
         }
         let i_offsets = count_item_offsets(self.num_items, &self.items);
         let max_degree = self.counts.iter().max().map_or(0, |&c| c as usize);
-        ColumnarInteractions {
+        InteractionMatrix {
             num_users: self.num_users,
             num_items: self.num_items,
             u_offsets,
@@ -783,8 +802,8 @@ mod tests {
 
     #[test]
     fn build_and_access() {
-        let c = ColumnarInteractions::from_interactions(3, 4, &rows());
-        assert_eq!(c.num_rows(), 4);
+        let c = InteractionMatrix::from_interactions(3, 4, &rows());
+        assert_eq!(c.num_interactions(), 4);
         assert_eq!(c.items_of(UserId(0)), &[ItemId(1), ItemId(3)]);
         assert_eq!(c.items_of(UserId(1)), &[] as &[ItemId]);
         assert_eq!(c.users_of(ItemId(1)), &[UserId(0), UserId(2)]);
@@ -797,7 +816,7 @@ mod tests {
 
     #[test]
     fn first_occurrence_wins_dedup() {
-        let c = ColumnarInteractions::from_interactions(
+        let c = InteractionMatrix::from_interactions(
             1,
             2,
             &[
@@ -805,7 +824,7 @@ mod tests {
                 Interaction::rated(UserId(0), ItemId(1), 5.0),
             ],
         );
-        assert_eq!(c.num_rows(), 1);
+        assert_eq!(c.num_interactions(), 1);
         assert_eq!(c.ratings_of(UserId(0)), &[1.0]);
     }
 
@@ -813,26 +832,26 @@ mod tests {
     fn append_matches_one_shot_build() {
         let all = rows();
         let (first, second) = all.split_at(2);
-        let one_shot = ColumnarInteractions::from_interactions(3, 4, &all);
-        let grown = ColumnarInteractions::from_interactions(3, 4, first).append(second);
+        let one_shot = InteractionMatrix::from_interactions(3, 4, &all);
+        let grown = InteractionMatrix::from_interactions(3, 4, first).append(second);
         assert_eq!(one_shot.digest(), grown.digest());
     }
 
     #[test]
     fn append_existing_rows_win() {
-        let base = ColumnarInteractions::from_interactions(
+        let base = InteractionMatrix::from_interactions(
             1,
             2,
             &[Interaction::rated(UserId(0), ItemId(0), 2.0)],
         );
         let grown = base.append(&[Interaction::rated(UserId(0), ItemId(0), 5.0)]);
-        assert_eq!(grown.num_rows(), 1);
+        assert_eq!(grown.num_interactions(), 1);
         assert_eq!(grown.ratings_of(UserId(0)), &[2.0]);
     }
 
     #[test]
     fn timestamps_carried() {
-        let c = ColumnarInteractions::from_interactions(
+        let c = InteractionMatrix::from_interactions(
             1,
             2,
             &[Interaction { user: UserId(0), item: ItemId(1), rating: None, timestamp: Some(42) }],
@@ -842,25 +861,25 @@ mod tests {
 
     #[test]
     fn validate_accepts_sound_store() {
-        let c = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let c = InteractionMatrix::from_interactions(3, 4, &rows());
         assert!(c.validate().is_empty());
     }
 
     #[test]
     fn validate_flags_corruption() {
-        let mut c = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let mut c = InteractionMatrix::from_interactions(3, 4, &rows());
         c.u_offsets[1] = 4;
         assert!(c
             .validate()
             .iter()
             .any(|v| matches!(v, ColumnarViolation::UserOffsetNotMonotone { index: 1 })));
-        let mut c = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let mut c = InteractionMatrix::from_interactions(3, 4, &rows());
         c.items[0] = ItemId(9);
         assert!(c
             .validate()
             .iter()
             .any(|v| matches!(v, ColumnarViolation::ItemOutOfRange { row: 0, .. })));
-        let mut c = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let mut c = InteractionMatrix::from_interactions(3, 4, &rows());
         c.build_item_index();
         c.i_users.get_mut().expect("built")[1] = UserId(1);
         assert!(c
@@ -872,7 +891,7 @@ mod tests {
     #[test]
     fn validate_reports_nonzero_first_user_offset() {
         // Row 0 precedes user 0's range and holds an out-of-range item.
-        let c = ColumnarInteractions::from_raw_parts(
+        let c = InteractionMatrix::from_raw_parts(
             2,
             2,
             vec![1, 1, 2],
@@ -887,7 +906,7 @@ mod tests {
 
     #[test]
     fn validate_leaves_an_unbuilt_index_unbuilt() {
-        let c = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let c = InteractionMatrix::from_interactions(3, 4, &rows());
         assert!(!c.has_item_index());
         assert!(c.validate().is_empty());
         assert!(!c.has_item_index());
@@ -899,17 +918,17 @@ mod tests {
     /// `from_raw_parts` over `c`'s columns with `i_offsets` and `i_users`
     /// replaced.
     fn with_item_index(
-        c: &ColumnarInteractions,
+        c: &InteractionMatrix,
         i_offsets: Vec<u32>,
         i_users: Vec<UserId>,
-    ) -> ColumnarInteractions {
-        ColumnarInteractions::from_raw_parts(
+    ) -> InteractionMatrix {
+        InteractionMatrix::from_raw_parts(
             c.num_users,
             c.num_items,
             c.u_offsets.clone(),
             c.items.clone(),
-            c.ratings.values(c.num_rows()).collect(),
-            c.timestamps.values(c.num_rows()).collect(),
+            c.ratings.values(c.num_interactions()).collect(),
+            c.timestamps.values(c.num_interactions()).collect(),
             i_offsets,
             i_users,
         )
@@ -917,7 +936,7 @@ mod tests {
 
     #[test]
     fn validate_compares_a_raw_item_index() {
-        let c = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let c = InteractionMatrix::from_interactions(3, 4, &rows());
         let (offsets, users) = (c.i_offsets.clone(), c.item_users().to_vec());
         assert!(with_item_index(&c, offsets.clone(), users.clone()).validate().is_empty());
         let mismatch = |detail: &str| {
@@ -952,8 +971,8 @@ mod tests {
 
     #[test]
     fn concurrent_first_readers_share_one_index() {
-        let c = ColumnarInteractions::from_interactions(3, 4, &rows());
-        let twin = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let c = InteractionMatrix::from_interactions(3, 4, &rows());
+        let twin = InteractionMatrix::from_interactions(3, 4, &rows());
         twin.build_item_index();
         let seen: Vec<Vec<&[UserId]>> = std::thread::scope(|s| {
             let readers: Vec<_> = (0..4)
@@ -971,10 +990,10 @@ mod tests {
 
     #[test]
     fn digest_is_order_sensitive_and_stable() {
-        let a = ColumnarInteractions::from_interactions(3, 4, &rows());
-        let b = ColumnarInteractions::from_interactions(3, 4, &rows());
+        let a = InteractionMatrix::from_interactions(3, 4, &rows());
+        let b = InteractionMatrix::from_interactions(3, 4, &rows());
         assert_eq!(a.digest(), b.digest());
-        let c = ColumnarInteractions::from_interactions(
+        let c = InteractionMatrix::from_interactions(
             3,
             4,
             &[Interaction::implicit(UserId(0), ItemId(1))],
@@ -1002,15 +1021,15 @@ mod tests {
 
     /// Bytes of the item column, both offset arrays and the built
     /// item-major user column.
-    fn index_bytes(c: &ColumnarInteractions) -> usize {
-        (c.u_offsets.len() + 2 * c.num_rows() + c.i_offsets.len()) * 4
+    fn index_bytes(c: &InteractionMatrix) -> usize {
+        (c.u_offsets.len() + 2 * c.num_interactions() + c.i_offsets.len()) * 4
     }
 
     /// Asserts `c`'s `memory_bytes` is `index_bytes` plus `payload`, less
     /// the user column until it is built, and builds it.
-    fn assert_memory_bytes(c: &ColumnarInteractions, payload: usize) {
+    fn assert_memory_bytes(c: &InteractionMatrix, payload: usize) {
         assert!(!c.has_item_index());
-        assert_eq!(c.memory_bytes() + c.num_rows() * 4, index_bytes(c) + payload);
+        assert_eq!(c.memory_bytes() + c.num_interactions() * 4, index_bytes(c) + payload);
         c.build_item_index();
         assert_eq!(c.memory_bytes(), index_bytes(c) + payload);
     }
@@ -1019,7 +1038,7 @@ mod tests {
     fn payload_column_materializes_at_first_value() {
         for k in [Some(0), Some(3), Some(5), None] {
             let rows = rows_with_payload_at(k);
-            let c = ColumnarInteractions::from_interactions(3, 4, &rows);
+            let c = InteractionMatrix::from_interactions(3, 4, &rows);
             assert!(c.validate().is_empty());
             let mut row = 0;
             for u in 0..3 {
@@ -1042,7 +1061,7 @@ mod tests {
 
     #[test]
     fn implicit_store_without_timestamps_holds_no_payload() {
-        let c = ColumnarInteractions::from_interactions(
+        let c = InteractionMatrix::from_interactions(
             3,
             4,
             &[
@@ -1061,7 +1080,7 @@ mod tests {
     #[test]
     fn non_canonical_nan_rating_is_stored() {
         let odd_nan = f32::from_bits(f32::NAN.to_bits() | 1);
-        let c = ColumnarInteractions::from_interactions(
+        let c = InteractionMatrix::from_interactions(
             1,
             2,
             &[
@@ -1079,10 +1098,10 @@ mod tests {
     fn append_materializes_payload_columns_like_one_shot() {
         for k in [Some(0), Some(3), Some(5), None] {
             let rows = rows_with_payload_at(k);
-            let one_shot = ColumnarInteractions::from_interactions(3, 4, &rows);
+            let one_shot = InteractionMatrix::from_interactions(3, 4, &rows);
             for cut in 0..=rows.len() {
-                let grown = ColumnarInteractions::from_interactions(3, 4, &rows[..cut])
-                    .append(&rows[cut..]);
+                let grown =
+                    InteractionMatrix::from_interactions(3, 4, &rows[..cut]).append(&rows[cut..]);
                 assert_eq!(grown.digest(), one_shot.digest(), "payload at {k:?}, cut {cut}");
                 assert_eq!(grown.memory_bytes(), one_shot.memory_bytes());
             }
@@ -1091,8 +1110,8 @@ mod tests {
 
     #[test]
     fn digest_hashes_absent_columns_as_sentinels() {
-        let built = ColumnarInteractions::from_interactions(3, 4, &rows_with_payload_at(None));
-        let raw = ColumnarInteractions::from_raw_parts(
+        let built = InteractionMatrix::from_interactions(3, 4, &rows_with_payload_at(None));
+        let raw = InteractionMatrix::from_raw_parts(
             3,
             4,
             built.u_offsets.clone(),
@@ -1108,8 +1127,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_raw_parts_with_empty_payload() {
-        let built = ColumnarInteractions::from_interactions(3, 4, &rows_with_payload_at(None));
-        let raw = ColumnarInteractions::from_raw_parts(
+        let built = InteractionMatrix::from_interactions(3, 4, &rows_with_payload_at(None));
+        let raw = InteractionMatrix::from_raw_parts(
             3,
             4,
             built.u_offsets.clone(),

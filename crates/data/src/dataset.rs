@@ -11,8 +11,8 @@
 //! training matrix via [`KgDataset::user_item_graph`] (only *train*
 //! interactions are folded in — folding test edges would leak labels).
 
+use crate::columnar::InteractionMatrix;
 use crate::ids::{ItemId, UserId};
-use crate::interactions::InteractionMatrix;
 use kgrec_graph::{id32, EntityId, KgBuilder, KnowledgeGraph, RelationId};
 
 /// Name of the interaction relation in materialized user–item graphs.

@@ -21,7 +21,7 @@
 //! never a non-finite score.
 
 use crate::dataset::KgDataset;
-use crate::interactions::{Interaction, InteractionMatrix};
+use crate::{Interaction, InteractionMatrix};
 use kgrec_graph::{id32, EntityId, EntityTypeId, KnowledgeGraph, RelationId, Triple};
 
 /// A deterministic dataset corruption.

@@ -1,15 +1,12 @@
-//! The user feedback matrix `R` (survey Section 3).
+//! One observed entry of the user feedback matrix `R` (survey Section 3).
 //!
 //! `R_{ij} = 1` when an implicit interaction between user `u_i` and item
-//! `v_j` was observed. [`InteractionMatrix`] is a facade over the columnar
-//! store of [`crate::columnar`]: sorted user/item/rating/timestamp columns
-//! behind per-user `u32` offsets, plus an item-major index — the models
-//! scan both directions (user histories for preference propagation, item
-//! audiences for ItemKNN and diffusion).
+//! `v_j` was observed. An [`Interaction`] is one such observation; the
+//! matrix that holds them is [`crate::InteractionMatrix`], the columnar
+//! store of [`crate::columnar`]. The tests below pin that matrix's
+//! accessors on a toy `R`.
 
-use crate::columnar::ColumnarInteractions;
 use crate::ids::{ItemId, UserId};
-use kgrec_graph::id32;
 
 /// One observed user–item interaction, optionally carrying an explicit
 /// rating (e.g. the 1–5 stars of MovieLens) and a timestamp for the
@@ -38,127 +35,10 @@ impl Interaction {
     }
 }
 
-/// The binary feedback matrix `R ∈ {0,1}^{m×n}` with optional ratings,
-/// stored columnar (see [`ColumnarInteractions`]).
-#[derive(Debug, Clone)]
-pub struct InteractionMatrix {
-    cols: ColumnarInteractions,
-}
-
-impl InteractionMatrix {
-    /// Builds the matrix from interactions. Duplicate `(user, item)` pairs
-    /// are collapsed keeping the first occurrence of the input order
-    /// (stable sort + first-wins dedup, deterministic for a fixed input).
-    ///
-    /// # Panics
-    /// Panics if any interaction references a user or item out of range.
-    pub fn from_interactions(
-        num_users: usize,
-        num_items: usize,
-        interactions: &[Interaction],
-    ) -> Self {
-        Self { cols: ColumnarInteractions::from_interactions(num_users, num_items, interactions) }
-    }
-
-    /// Wraps an already-built columnar store (the streaming generators and
-    /// the ingest path construct columns directly).
-    pub fn from_columnar(cols: ColumnarInteractions) -> Self {
-        Self { cols }
-    }
-
-    /// Number of users `m`.
-    pub fn num_users(&self) -> usize {
-        self.cols.num_users()
-    }
-
-    /// Number of items `n`.
-    pub fn num_items(&self) -> usize {
-        self.cols.num_items()
-    }
-
-    /// Number of observed interactions `|R|`.
-    pub fn num_interactions(&self) -> usize {
-        self.cols.num_rows()
-    }
-
-    /// Density `|R| / (m·n)`.
-    pub fn density(&self) -> f64 {
-        if self.num_users() == 0 || self.num_items() == 0 {
-            0.0
-        } else {
-            self.num_interactions() as f64 / (self.num_users() * self.num_items()) as f64
-        }
-    }
-
-    /// Items interacted by `user`, sorted by item id.
-    pub fn items_of(&self, user: UserId) -> &[ItemId] {
-        self.cols.items_of(user)
-    }
-
-    /// Ratings aligned with [`Self::items_of`] (`NaN` for implicit entries).
-    pub fn ratings_of(&self, user: UserId) -> &[f32] {
-        self.cols.ratings_of(user)
-    }
-
-    /// Timestamps aligned with [`Self::items_of`]
-    /// ([`crate::columnar::NO_TIMESTAMP`] for rows without an event time).
-    pub fn timestamps_of(&self, user: UserId) -> &[u64] {
-        self.cols.timestamps_of(user)
-    }
-
-    /// Users who interacted with `item`, sorted by user id.
-    pub fn users_of(&self, item: ItemId) -> &[UserId] {
-        self.cols.users_of(item)
-    }
-
-    /// Whether `R_{user,item} = 1`.
-    pub fn contains(&self, user: UserId, item: ItemId) -> bool {
-        self.cols.contains(user, item)
-    }
-
-    /// Out-degree of a user (history length).
-    pub fn user_degree(&self, user: UserId) -> usize {
-        self.cols.user_degree(user)
-    }
-
-    /// Popularity of an item (audience size).
-    pub fn item_degree(&self, item: ItemId) -> usize {
-        self.cols.item_degree(item)
-    }
-
-    /// Iterates over all `(user, item, rating)` triples, user-major.
-    pub fn iter(&self) -> impl Iterator<Item = (UserId, ItemId, f32)> + '_ {
-        (0..self.num_users()).flat_map(move |u| {
-            let user = UserId(id32(u));
-            self.items_of(user)
-                .iter()
-                .zip(self.ratings_of(user).iter())
-                .map(move |(&i, &r)| (user, i, r))
-        })
-    }
-
-    /// Item popularity vector, length `n`.
-    pub fn item_popularity(&self) -> Vec<usize> {
-        (0..self.num_items()).map(|i| self.item_degree(ItemId(id32(i)))).collect()
-    }
-
-    /// Merges an interaction batch into a new matrix: existing rows win
-    /// over appended rows, first occurrence wins within the batch — the
-    /// incremental-ingest entry point (see [`ColumnarInteractions::append`]).
-    pub fn append(&self, batch: &[Interaction]) -> Self {
-        Self { cols: self.cols.append(batch) }
-    }
-
-    /// The underlying columnar store (sharding, integrity checks, and
-    /// byte-identity digests read it directly).
-    pub fn columnar(&self) -> &ColumnarInteractions {
-        &self.cols
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InteractionMatrix;
 
     fn toy() -> InteractionMatrix {
         InteractionMatrix::from_interactions(
@@ -179,7 +59,6 @@ mod tests {
         assert_eq!(m.num_users(), 3);
         assert_eq!(m.num_items(), 4);
         assert_eq!(m.num_interactions(), 4);
-        assert!((m.density() - 4.0 / 12.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Implements the data side of the survey:
 //!
-//! * [`interactions`] — the user feedback matrix `R ∈ {0,1}^{m×n}` of
-//!   Section 3 (implicit by default, optional explicit ratings), stored
-//!   CSR both user-major and item-major;
+//! * [`columnar`] — [`InteractionMatrix`], the user feedback matrix
+//!   `R ∈ {0,1}^{m×n}` of Section 3 (implicit by default, optional
+//!   explicit ratings and timestamps), one columnar store read both
+//!   user-major and item-major, and its streaming [`ColumnarBuilder`];
+//! * [`interactions`] — [`Interaction`], one observed entry of `R`;
 //! * [`split`] — per-user ratio and leave-one-out train/test splits;
 //! * [`negative`] — unobserved-item negative samplers and CTR-style
 //!   labeled evaluation sets;
@@ -35,14 +37,12 @@ pub mod interactions;
 pub mod loader;
 pub mod negative;
 pub mod registry;
-pub mod shard;
 pub mod split;
 pub mod synth;
 
-pub use columnar::{ColumnarBuilder, ColumnarInteractions};
+pub use columnar::{ColumnarBuilder, InteractionMatrix};
 pub use dataset::KgDataset;
 pub use faults::{inject, Fault};
 pub use ids::{ItemId, UserId};
-pub use interactions::{Interaction, InteractionMatrix};
-pub use shard::{EntityShard, ShardPlan, ShardViolation, ShardedDataset, UserShard};
+pub use interactions::Interaction;
 pub use synth::{ScenarioConfig, SyntheticDataset};

@@ -9,7 +9,7 @@
 
 use crate::dataset::KgDataset;
 use crate::ids::{ItemId, UserId};
-use crate::interactions::{Interaction, InteractionMatrix};
+use crate::{Interaction, InteractionMatrix};
 use kgrec_graph::{id32, EntityId, KgBuilder};
 use std::collections::HashMap;
 use std::fmt;
@@ -24,7 +24,7 @@ pub enum LoadError {
         /// What was wrong.
         message: String,
     },
-    /// A rating field failed to parse as a float.
+    /// A rating field failed to parse as a finite float.
     BadRating {
         /// 1-based line number.
         line: usize,
@@ -40,7 +40,7 @@ impl fmt::Display for LoadError {
                 write!(f, "line {line}: {message}")
             }
             LoadError::BadRating { line, field } => {
-                write!(f, "line {line}: cannot parse rating {field:?}")
+                write!(f, "line {line}: rating {field:?} is not a finite number")
             }
         }
     }
@@ -88,7 +88,10 @@ pub fn parse_interactions(text: &str) -> Result<LoadedInteractions, LoadError> {
             ItemId(id32(item_keys.len() - 1))
         });
         let rating = if fields.len() == 3 {
-            Some(fields[2].parse::<f32>().map_err(|_| LoadError::BadRating {
+            // `NaN` would read back as the implicit sentinel and `inf` as
+            // a rating, so a non-finite parse is as bad as no parse.
+            let rating = fields[2].parse::<f32>().ok().filter(|r| r.is_finite());
+            Some(rating.ok_or_else(|| LoadError::BadRating {
                 line: lineno + 1,
                 field: fields[2].to_owned(),
             })?)
@@ -165,6 +168,19 @@ mod tests {
     fn bad_rating_reported() {
         let err = parse_interactions("a\tb\tnot_a_number\n").unwrap_err();
         assert!(matches!(err, LoadError::BadRating { line: 1, .. }));
+    }
+
+    #[test]
+    fn non_finite_ratings_rejected() {
+        for field in ["NaN", "nan", "inf", "-inf", "infinity", "1e40"] {
+            let err = parse_interactions(&format!("a\tb\t4\nc\td\t{field}\n")).unwrap_err();
+            match err {
+                LoadError::BadRating { line, field: got } => {
+                    assert_eq!((line, got.as_str()), (2, field));
+                }
+                other => panic!("{field}: unexpected error {other:?}"),
+            }
+        }
     }
 
     #[test]

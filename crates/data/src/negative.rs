@@ -7,8 +7,8 @@
 //! standard guard that a user who has interacted with (almost) every item
 //! falls back to an exhaustive scan.
 
+use crate::columnar::InteractionMatrix;
 use crate::ids::{ItemId, UserId};
-use crate::interactions::InteractionMatrix;
 use kgrec_graph::id32;
 use rand::Rng;
 

@@ -17,9 +17,9 @@
 //! `(user, item)` order, so splitting a ten-million-row store never
 //! materializes an intermediate interaction list or sorts one.
 
+use crate::columnar::InteractionMatrix;
 use crate::columnar::{ColumnarBuilder, NO_TIMESTAMP};
 use crate::ids::UserId;
-use crate::interactions::InteractionMatrix;
 use kgrec_graph::id32;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -118,18 +118,17 @@ fn stream_split(
     n_test: impl Fn(usize) -> usize,
     mut hold_out: impl FnMut(usize, &mut Vec<usize>),
 ) -> Split {
-    let cols = matrix.columnar();
     let users = (0..matrix.num_users()).map(|u| UserId(id32(u)));
-    let test_rows: usize = users.clone().map(|user| n_test(cols.user_degree(user))).sum();
+    let test_rows: usize = users.clone().map(|user| n_test(matrix.user_degree(user))).sum();
     let mut train = ColumnarBuilder::new(matrix.num_users(), matrix.num_items());
     let mut test = ColumnarBuilder::new(matrix.num_users(), matrix.num_items());
-    train.reserve(cols.num_rows() - test_rows);
+    train.reserve(matrix.num_interactions() - test_rows);
     test.reserve(test_rows);
     let mut held = Vec::new();
     for user in users {
-        let items = cols.items_of(user);
-        let ratings = cols.ratings_of(user);
-        let stamps = cols.timestamps_of(user);
+        let items = matrix.items_of(user);
+        let ratings = matrix.ratings_of(user);
+        let stamps = matrix.timestamps_of(user);
         held.clear();
         hold_out(items.len(), &mut held);
         debug_assert_eq!(held.len(), n_test(items.len()), "hold_out disagrees with n_test");
@@ -141,10 +140,7 @@ fn stream_split(
             side.push(user, item, rating, timestamp);
         }
     }
-    Split {
-        train: InteractionMatrix::from_columnar(train.finish()),
-        test: InteractionMatrix::from_columnar(test.finish()),
-    }
+    Split { train: train.finish(), test: test.finish() }
 }
 
 #[cfg(test)]
@@ -248,8 +244,8 @@ mod tests {
         for (u, i, _) in s.test.iter() {
             assert!(!s.train.contains(u, i), "overlap at ({u}, {i})");
         }
-        assert!(s.train.columnar().validate().is_empty());
-        assert!(s.test.columnar().validate().is_empty());
+        assert!(s.train.validate().is_empty());
+        assert!(s.test.validate().is_empty());
     }
 
     #[test]
@@ -284,7 +280,7 @@ mod tests {
         let m = dense_matrix(9, 6);
         let a = systematic_holdout(&m, 3);
         let b = systematic_holdout(&m, 3);
-        assert_eq!(a.train.columnar().digest(), b.train.columnar().digest());
-        assert_eq!(a.test.columnar().digest(), b.test.columnar().digest());
+        assert_eq!(a.train.digest(), b.train.digest());
+        assert_eq!(a.test.digest(), b.test.digest());
     }
 }

@@ -24,7 +24,7 @@
 use crate::columnar::ColumnarBuilder;
 use crate::dataset::KgDataset;
 use crate::ids::{ItemId, UserId};
-use crate::interactions::{Interaction, InteractionMatrix};
+use crate::{Interaction, InteractionMatrix};
 use kgrec_graph::{id32, EntityId, KgBuilder};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -543,7 +543,7 @@ pub fn generate_streaming(config: &ScenarioConfig, seed: u64) -> SyntheticDatase
             emitted += 1;
         }
     }
-    let matrix = InteractionMatrix::from_columnar(builder.finish());
+    let matrix = builder.finish();
 
     // 5. Knowledge graph: same planted-attribute scheme as `generate`,
     // with attributes drawn per item on the fly.
@@ -981,18 +981,12 @@ mod tests {
         let cfg = ScenarioConfig::tiny();
         let a = generate_streaming(&cfg, 42);
         let b = generate_streaming(&cfg, 42);
-        assert_eq!(
-            a.dataset.interactions.columnar().digest(),
-            b.dataset.interactions.columnar().digest()
-        );
+        assert_eq!(a.dataset.interactions.digest(), b.dataset.interactions.digest());
         assert_eq!(a.item_topics, b.item_topics);
-        assert!(a.dataset.interactions.columnar().validate().is_empty());
+        assert!(a.dataset.interactions.validate().is_empty());
         assert!(a.user_topic_weights.is_empty(), "mixtures are not stored at scale");
         let c = generate_streaming(&cfg, 43);
-        assert_ne!(
-            a.dataset.interactions.columnar().digest(),
-            c.dataset.interactions.columnar().digest()
-        );
+        assert_ne!(a.dataset.interactions.digest(), c.dataset.interactions.digest());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! layout did.
 //!
 //! The layout is validated structurally by [`CsrAdjacency::validate`]
-//! (the data half of the kglint `MD007` shard-integrity rule) and pinned
+//! (the graph half of the kglint `MD007` layout-integrity rule) and pinned
 //! behaviorally to a pointer-based reference adjacency by the equivalence
 //! proptests in `tests/proptest_csr.rs`.
 

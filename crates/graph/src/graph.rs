@@ -171,8 +171,8 @@ impl KnowledgeGraph {
         self.adj.iter_triples()
     }
 
-    /// The underlying flat-array adjacency (integrity checks, sharding,
-    /// and memory accounting read it directly).
+    /// The underlying flat-array adjacency (integrity checks and memory
+    /// accounting read it directly).
     pub fn csr(&self) -> &CsrAdjacency {
         &self.adj
     }

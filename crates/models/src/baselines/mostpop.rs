@@ -73,8 +73,8 @@ impl kgrec_store::Persistable for MostPop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgrec_data::interactions::{Interaction, InteractionMatrix};
     use kgrec_data::KgDataset;
+    use kgrec_data::{Interaction, InteractionMatrix};
     use kgrec_graph::KgBuilder;
 
     fn ctx_data() -> (KgDataset, InteractionMatrix) {

@@ -42,7 +42,7 @@ pub fn sample_observed<R: Rng + ?Sized>(
     // one whose offset is `<= k` (zero-degree users share an offset with
     // their successor, so they are never picked).
     let k = rng.gen_range(0..train.num_interactions());
-    let offsets = train.columnar().u_offsets();
+    let offsets = train.u_offsets();
     let u = offsets.partition_point(|&o| o as usize <= k) - 1;
     let user = UserId(u as u32);
     Some((user, train.items_of(user)[k - offsets[u] as usize]))

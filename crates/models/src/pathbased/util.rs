@@ -163,8 +163,8 @@ fn dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgrec_data::interactions::{Interaction, InteractionMatrix};
     use kgrec_data::KgDataset;
+    use kgrec_data::{Interaction, InteractionMatrix};
     use kgrec_graph::KgBuilder;
 
     /// 1 user; items i0, i1 sharing attribute a0; user interacted i0.

@@ -46,7 +46,7 @@ use kgrec_linalg::{vector, EmbeddingTable};
 /// of node degree.
 ///
 /// `interactions` must have its item-major index built
-/// (`ColumnarInteractions::build_item_index`), as a [`Server`] does
+/// (`InteractionMatrix::build_item_index`), as a [`Server`] does
 /// before it publishes a store: building it here would allocate.
 ///
 /// [`Server`]: crate::Server
@@ -59,7 +59,7 @@ pub fn candidates_for(
     scratch: &mut ServeScratch,
 ) {
     debug_assert!(
-        interactions.columnar().has_item_index(),
+        interactions.has_item_index(),
         "stage 1 reads a store whose item-major index is not built"
     );
     let epoch = scratch.begin();
@@ -335,7 +335,7 @@ mod tests {
     fn assert_same_candidates(dataset: KgDataset, configs: &[ServeConfig]) -> [usize; 3] {
         let KgDataset { interactions, graph, item_entities, .. } = dataset;
         let index = ServeIndex::build(graph, item_entities);
-        interactions.columnar().build_item_index();
+        interactions.build_item_index();
         let pop = popularity_order(&interactions);
         let mut cuts = [0usize; 3];
         for config in configs {

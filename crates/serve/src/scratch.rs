@@ -10,7 +10,7 @@
 //! Deduplication uses a generation-stamped marker array (`seen[v] ==
 //! epoch` means item `v` was already taken this request): bumping
 //! `epoch` resets all marks in O(1), so no per-request clearing pass
-//! over `num_items` entries. The stamps are narrow ([`Stamp`]), so one
+//! over `num_items` entries. The stamps are narrow (`u16`), so one
 //! clearing pass runs when the generation wraps, once per 65,535
 //! requests.
 

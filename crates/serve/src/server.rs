@@ -157,7 +157,7 @@ impl Server {
             graph.num_entities()
         );
         let num_users = interactions.num_users();
-        interactions.columnar().build_item_index();
+        interactions.build_item_index();
         let pop_order = popularity_order(&interactions);
         let index = ServeIndex::build(graph, item_entities);
         let cache = TopKCache::new(config.cache_capacity, config.cache_shards, config.k);
@@ -264,7 +264,7 @@ impl Server {
         let _serialize = self.ingest_lock.lock().expect("ingest lock poisoned");
         let current = Arc::clone(&self.live.read().expect("live lock poisoned").interactions);
         let appended = current.append(batch);
-        appended.columnar().build_item_index();
+        appended.build_item_index();
         let pop_order = Arc::new(popularity_order(&appended));
         {
             let mut live = self.live.write().expect("live lock poisoned");
@@ -650,7 +650,7 @@ mod tests {
     #[test]
     fn live_store_index_is_built_by_new_and_every_ingest() {
         let server = tiny_server(29, ServeConfig::default());
-        assert!(server.interactions().columnar().has_item_index(), "after new");
+        assert!(server.interactions().has_item_index(), "after new");
         let mut s = server.make_scratch();
         for round in 0..3u32 {
             let before = server.interactions();
@@ -662,7 +662,7 @@ mod tests {
             server.ingest(&[Interaction::implicit(user, item)]);
             let after = server.interactions();
             assert!(!Arc::ptr_eq(&before, &after), "ingest {round} published no new store");
-            assert!(after.columnar().has_item_index(), "after ingest {round}");
+            assert!(after.has_item_index(), "after ingest {round}");
             server.serve(user, &mut s);
         }
     }

@@ -10,6 +10,11 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace lints, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (rustdoc, -D warnings)"
+# Broken or private intra-doc links fail here, so a renamed or deleted
+# item cannot linger in the docs that name it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
+
 echo "== cargo test"
 cargo test --workspace -q
 
@@ -87,7 +92,7 @@ cargo run --release -p kgrec-bench --bin kernel_bench -- --quick \
   --baseline BENCH_kernels.baseline.json > /dev/null
 test -s BENCH_kernels.json || { echo "FAIL: BENCH_kernels.json missing"; exit 1; }
 
-echo "== scale bench (streaming generation, sharding, ingest, memory budget)"
+echo "== scale bench (streaming generation, layout validation, ingest, memory budget)"
 # Every push runs the 20k-user smoke size; the full 1M-user / 10M-row
 # drill runs behind KGREC_SCALE_FULL=1 (CI's nightly-style dispatch job).
 # Both apply the same gates: kglint + layout validation, raw-AUC > 0.5,

@@ -3,8 +3,8 @@
 //! singleton histories. No panics, no NaN scores.
 
 use kgrec_core::{Recommender, TrainContext};
-use kgrec_data::interactions::{Interaction, InteractionMatrix};
 use kgrec_data::synth::{generate, ScenarioConfig};
+use kgrec_data::{Interaction, InteractionMatrix};
 use kgrec_data::{ItemId, KgDataset, UserId};
 use kgrec_graph::KgBuilder;
 use kgrec_models::registry::all_models;

@@ -92,12 +92,12 @@ fn toy_dataset(interactions: InteractionMatrix) -> KgDataset {
 fn k_appends_build_byte_identical_store() {
     let rows = row_stream(41, 400);
     let reference = one_shot(&rows);
-    assert!(reference.columnar().validate().is_empty());
-    let want = reference.columnar().digest();
+    assert!(reference.validate().is_empty());
+    let want = reference.digest();
     for k in [1, 2, 3, 5, 8] {
         let grown = k_appends(&rows, k);
-        assert!(grown.columnar().validate().is_empty(), "k={k}");
-        assert_eq!(grown.columnar().digest(), want, "k={k} appends diverged from one-shot build");
+        assert!(grown.validate().is_empty(), "k={k}");
+        assert_eq!(grown.digest(), want, "k={k} appends diverged from one-shot build");
         assert_eq!(grown.num_interactions(), reference.num_interactions());
     }
 }
@@ -107,7 +107,7 @@ fn appended_store_yields_identical_eval_metrics() {
     let rows = row_stream(42, 500);
     let reference = one_shot(&rows);
     let grown = k_appends(&rows, 4);
-    assert_eq!(grown.columnar().digest(), reference.columnar().digest());
+    assert_eq!(grown.digest(), reference.digest());
 
     // Same seeds on byte-identical stores must reproduce the split, the
     // labeled pairs, the fitted model, and every metric exactly.

@@ -1,12 +1,11 @@
 //! Equivalence properties for the flat-array data layer: the CSR
-//! adjacency, the columnar interaction store, the shard views, and the
-//! incremental-ingest merge must all agree bit-for-bit with naive
-//! pointer-based reference implementations on *every* input.
+//! adjacency, the columnar interaction store and the incremental-ingest
+//! merge must all agree bit-for-bit with naive pointer-based reference
+//! implementations on *every* input.
 
 use kgrec_data::columnar::NO_TIMESTAMP;
-use kgrec_data::shard::{even_ranges, ShardedDataset};
-use kgrec_data::{ColumnarInteractions, Interaction, InteractionMatrix, ItemId, UserId};
-use kgrec_graph::{CsrAdjacency, EntityId, KgBuilder, RelationId, Triple};
+use kgrec_data::{Interaction, InteractionMatrix, ItemId, UserId};
+use kgrec_graph::{CsrAdjacency, EntityId, RelationId, Triple};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -118,14 +117,14 @@ fn arb_payload_rows() -> impl Strategy<Value = (usize, usize, Vec<Interaction>)>
 
 /// The store with every column stored in full, sentinels included — the
 /// layout every store had before absent payload columns.
-fn fully_stored(c: &ColumnarInteractions, rows: &[Interaction]) -> ColumnarInteractions {
+fn fully_stored(c: &InteractionMatrix, rows: &[Interaction]) -> InteractionMatrix {
     let mut i_offsets = vec![0u32];
     let mut i_users = Vec::new();
     for i in 0..c.num_items() as u32 {
         i_users.extend_from_slice(c.users_of(ItemId(i)));
         i_offsets.push(i_users.len() as u32);
     }
-    ColumnarInteractions::from_raw_parts(
+    InteractionMatrix::from_raw_parts(
         c.num_users(),
         c.num_items(),
         c.u_offsets().to_vec(),
@@ -135,22 +134,6 @@ fn fully_stored(c: &ColumnarInteractions, rows: &[Interaction]) -> ColumnarInter
         i_offsets,
         i_users,
     )
-}
-
-/// A small KG whose item entities line up with the interaction items:
-/// each item links to one of a handful of attribute entities.
-fn toy_graph(num_items: usize) -> kgrec_graph::KnowledgeGraph {
-    let mut b = KgBuilder::new();
-    let t_item = b.entity_type("item");
-    let t_attr = b.entity_type("attr");
-    let items: Vec<_> = (0..num_items).map(|i| b.entity(&format!("item{i}"), t_item)).collect();
-    let n_attr = num_items / 3 + 1;
-    let attrs: Vec<_> = (0..n_attr).map(|a| b.entity(&format!("attr{a}"), t_attr)).collect();
-    let r = b.relation("has_attr");
-    for (i, &e) in items.iter().enumerate() {
-        b.triple(e, r, attrs[i % n_attr]);
-    }
-    b.build(true)
 }
 
 proptest! {
@@ -194,10 +177,10 @@ proptest! {
         let reference = reference_rows(&rows);
 
         prop_assert_eq!(m.num_interactions(), reference.len());
-        prop_assert!(m.columnar().validate().is_empty());
+        prop_assert!(m.validate().is_empty());
 
         // User-major: histories sorted by item, payload sentinels exact.
-        let c = m.columnar();
+        let c = &m;
         for u in 0..nu as u32 {
             let user = UserId(u);
             let want: Vec<(u32, Payload)> = reference
@@ -238,17 +221,17 @@ proptest! {
         (nu, ni, rows) in arb_rows(),
         cut_seed in 0usize..1000,
     ) {
-        let twin = ColumnarInteractions::from_interactions(nu, ni, &rows);
+        let twin = InteractionMatrix::from_interactions(nu, ni, &rows);
         twin.build_item_index();
         let cut = cut_seed % (rows.len() + 1);
         let lazy =
-            ColumnarInteractions::from_interactions(nu, ni, &rows[..cut]).append(&rows[cut..]);
+            InteractionMatrix::from_interactions(nu, ni, &rows[..cut]).append(&rows[cut..]);
         prop_assert!(!lazy.has_item_index());
         prop_assert!(lazy.validate().is_empty());
         prop_assert!(!lazy.has_item_index());
-        prop_assert_eq!(lazy.memory_bytes() + 4 * lazy.num_rows(), twin.memory_bytes());
-        let popularity = |c: &ColumnarInteractions| {
-            InteractionMatrix::from_columnar(c.clone()).item_popularity()
+        prop_assert_eq!(lazy.memory_bytes() + 4 * lazy.num_interactions(), twin.memory_bytes());
+        let popularity = |c: &InteractionMatrix| {
+            c.item_popularity()
         };
         prop_assert_eq!(popularity(&lazy), popularity(&twin));
 
@@ -271,43 +254,9 @@ proptest! {
             prop_assert!(c.validate().is_empty());
         }
         // `digest` builds the column of a store nothing has read yet.
-        let unread = ColumnarInteractions::from_interactions(nu, ni, &rows);
+        let unread = InteractionMatrix::from_interactions(nu, ni, &rows);
         prop_assert_eq!(unread.digest(), twin.digest());
         prop_assert!(unread.has_item_index());
-    }
-
-    /// For every shard count, iterating the shards in order replays the
-    /// unsharded row and triple streams bit-for-bit, and the plan both
-    /// validates and covers every row exactly once.
-    #[test]
-    fn sharded_iteration_replays_unsharded_order(
-        (nu, ni, rows) in arb_rows(),
-        shards in 1usize..10,
-    ) {
-        let m = InteractionMatrix::from_interactions(nu, ni, &rows);
-        let graph = toy_graph(ni);
-        let sharded = ShardedDataset::new(&m, &graph, shards);
-
-        prop_assert!(sharded.plan().validate(m.columnar()).is_empty());
-        let covered: usize =
-            (0..sharded.num_shards()).map(|s| sharded.user_shard(s).num_rows()).sum();
-        prop_assert_eq!(covered, m.num_interactions());
-
-        let replayed: Vec<(UserId, ItemId, f32)> = (0..sharded.num_shards())
-            .flat_map(|s| sharded.user_shard(s).iter_rows())
-            .collect();
-        let original: Vec<(UserId, ItemId, f32)> = m.iter().collect();
-        // Bit-compare ratings (NaN sentinel) via their raw encodings.
-        prop_assert_eq!(replayed.len(), original.len());
-        for (got, want) in replayed.iter().zip(&original) {
-            prop_assert_eq!((got.0, got.1, got.2.to_bits()), (want.0, want.1, want.2.to_bits()));
-        }
-
-        let triples: Vec<Triple> = (0..sharded.num_shards())
-            .flat_map(|s| sharded.entity_shard(s).iter_triples())
-            .collect();
-        let want: Vec<Triple> = graph.iter_triples().collect();
-        prop_assert_eq!(triples, want);
     }
 
     /// Incremental ingest is a pure optimization: appending any suffix
@@ -328,7 +277,7 @@ proptest! {
         for batch in tail.chunks(chunk) {
             built = built.append(batch);
         }
-        prop_assert_eq!(built.columnar().digest(), one_shot.columnar().digest());
+        prop_assert_eq!(built.digest(), one_shot.digest());
     }
 
     /// Payload columns are stored only once a non-sentinel value arrives,
@@ -340,7 +289,7 @@ proptest! {
         (nu, ni, rows) in arb_payload_rows(),
         cut_seed in 0usize..1000,
     ) {
-        let c = ColumnarInteractions::from_interactions(nu, ni, &rows);
+        let c = InteractionMatrix::from_interactions(nu, ni, &rows);
         prop_assert!(c.validate().is_empty());
 
         let mut row = 0;
@@ -371,7 +320,7 @@ proptest! {
         );
 
         let cut = cut_seed % (n + 1);
-        let grown = ColumnarInteractions::from_interactions(nu, ni, &rows[..cut]).append(&rows[cut..]);
+        let grown = InteractionMatrix::from_interactions(nu, ni, &rows[..cut]).append(&rows[cut..]);
         prop_assert_eq!(grown.digest(), c.digest());
         prop_assert_eq!(grown.memory_bytes(), c.memory_bytes());
         for u in 0..nu as u32 {
@@ -380,20 +329,5 @@ proptest! {
             prop_assert_eq!(bits(grown.ratings_of(user)), bits(c.ratings_of(user)));
             prop_assert_eq!(grown.timestamps_of(user), c.timestamps_of(user));
         }
-    }
-
-    /// `even_ranges` tiles `0..len` exactly: contiguous, disjoint, in
-    /// order, with every range nonempty and at most `parts` of them.
-    #[test]
-    fn even_ranges_tile_the_input(len in 0usize..500, parts in 1usize..17) {
-        let ranges = even_ranges(len, parts);
-        prop_assert!(ranges.len() <= parts.max(1));
-        let mut cursor = 0usize;
-        for r in &ranges {
-            prop_assert_eq!(r.start, cursor);
-            prop_assert!(r.end > r.start);
-            cursor = r.end;
-        }
-        prop_assert_eq!(cursor, len);
     }
 }

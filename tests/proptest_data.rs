@@ -1,10 +1,10 @@
 //! Property-based tests for the data layer: interaction matrices, splits,
 //! negative sampling, and the synthetic generator's contracts.
 
-use kgrec_data::interactions::{Interaction, InteractionMatrix};
 use kgrec_data::negative::sample_negative;
 use kgrec_data::split::{leave_one_out, ratio_split, Split};
 use kgrec_data::synth::{generate, generate_streaming, ScenarioConfig};
+use kgrec_data::{Interaction, InteractionMatrix};
 use kgrec_data::{ItemId, UserId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -123,7 +123,7 @@ fn reference_leave_one_out(matrix: &InteractionMatrix, seed: u64) -> Split {
 
 /// `(train, test)` store digests of a split.
 fn digests(split: &Split) -> (u64, u64) {
-    (split.train.columnar().digest(), split.test.columnar().digest())
+    (split.train.digest(), split.test.digest())
 }
 
 /// The serving scenario's split: `huge` at 200k users and 20k items,

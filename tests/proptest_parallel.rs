@@ -1,16 +1,21 @@
 //! Property tests for the parallel evaluation engine: the `_par`
-//! protocols and the worker pool itself must be bit-identical to their
-//! serial counterparts for *every* thread count and *every* input —
-//! including inputs engineered to produce score ties.
+//! protocols must be bit-identical to frozen naive loops of the same
+//! protocols, and the worker pool an order-preserving identity, for
+//! *every* thread count and *every* input — including inputs engineered
+//! to produce score ties.
 
 use kgrec_bench::par;
 use kgrec_core::error::CoreError;
-use kgrec_core::protocol::{evaluate_ctr, evaluate_ctr_par, evaluate_topk, evaluate_topk_par};
+use kgrec_core::metrics;
+use kgrec_core::protocol::{
+    evaluate_ctr, evaluate_ctr_par, evaluate_topk, evaluate_topk_par, CtrReport, TopKAtCutoff,
+    TopKReport,
+};
 use kgrec_core::recommender::{Recommender, TrainContext};
 use kgrec_core::taxonomy::{Taxonomy, UsageType};
-use kgrec_data::interactions::{Interaction, InteractionMatrix};
 use kgrec_data::negative::LabeledPair;
-use kgrec_data::{ItemId, UserId};
+use kgrec_data::{Interaction, InteractionMatrix, ItemId, UserId};
+use kgrec_linalg::vector::sigmoid;
 use proptest::prelude::*;
 
 /// Thread counts the equivalence claims are checked at: serial, even
@@ -98,17 +103,97 @@ fn arb_split() -> impl Strategy<Value = (InteractionMatrix, InteractionMatrix, u
         })
 }
 
+/// The CTR protocol as a naive loop, frozen as the oracle for the
+/// protocol's work splitting: score every pair in input order, then
+/// compute AUC and accuracy.
+fn ctr_oracle(model: &MixModel, pairs: &[LabeledPair]) -> CtrReport {
+    let scored: Vec<(f32, bool)> =
+        pairs.iter().map(|p| (sigmoid(model.score(p.user, p.item)), p.positive)).collect();
+    CtrReport {
+        auc: metrics::auc(&scored).unwrap_or(0.5),
+        accuracy: metrics::accuracy(&scored, 0.5).unwrap_or(0.0),
+        pairs: scored.len(),
+    }
+}
+
+/// The top-K protocol as a naive loop, frozen as the oracle for the
+/// protocol's work splitting: for each user with test positives, in
+/// ascending order, rank every item outside the training history,
+/// compute the metrics and add them to the running sums.
+fn topk_oracle(
+    model: &MixModel,
+    train: &InteractionMatrix,
+    test: &InteractionMatrix,
+    ks: &[usize],
+) -> TopKReport {
+    let max_k = ks.iter().copied().max().unwrap_or(0);
+    let mut sums = vec![[0.0f64; 4]; ks.len()];
+    let mut mrr = 0.0f64;
+    let mut users = 0usize;
+    for u in 0..test.num_users() as u32 {
+        let user = UserId(u);
+        let relevant: Vec<u32> = test.items_of(user).iter().map(|i| i.0).collect();
+        if relevant.is_empty() {
+            continue;
+        }
+        let recs = model.recommend(user, max_k.max(model.num_items()), train.items_of(user));
+        let ranked: Vec<u32> = recs.iter().map(|(i, _)| i.0).collect();
+        for (sum, &k) in sums.iter_mut().zip(ks) {
+            sum[0] += metrics::precision_at_k(&ranked, &relevant, k);
+            sum[1] += metrics::recall_at_k(&ranked, &relevant, k);
+            sum[2] += metrics::ndcg_at_k(&ranked, &relevant, k);
+            sum[3] += metrics::hit_rate_at_k(&ranked, &relevant, k);
+        }
+        mrr += metrics::mrr(&ranked, &relevant);
+        users += 1;
+    }
+    let denom = users.max(1) as f64;
+    TopKReport {
+        cutoffs: ks
+            .iter()
+            .zip(&sums)
+            .map(|(&k, s)| TopKAtCutoff {
+                k,
+                precision: s[0] / denom,
+                recall: s[1] / denom,
+                ndcg: s[2] / denom,
+                hit_rate: s[3] / denom,
+            })
+            .collect(),
+        mrr: mrr / denom,
+        users_evaluated: users,
+    }
+}
+
+/// A CTR report as raw bits: the contract is bit-identity, not equality
+/// up to `NaN` or signed zero.
+fn ctr_bits(r: &CtrReport) -> (u64, u64, usize) {
+    (r.auc.to_bits(), r.accuracy.to_bits(), r.pairs)
+}
+
+/// A top-K report as raw bits, cutoff by cutoff.
+fn topk_bits(r: &TopKReport) -> (Vec<(usize, [u64; 4])>, u64, usize) {
+    let cutoffs = r
+        .cutoffs
+        .iter()
+        .map(|c| {
+            let metrics = [c.precision, c.recall, c.ndcg, c.hit_rate].map(f64::to_bits);
+            (c.k, metrics)
+        })
+        .collect();
+    (cutoffs, r.mrr.to_bits(), r.users_evaluated)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn ctr_report_is_thread_count_invariant(pairs in arb_pairs(), ties in 1u32..5) {
         let model = MixModel { items: 80, tie_levels: ties };
-        let serial = evaluate_ctr(&model, &pairs);
+        let oracle = ctr_bits(&ctr_oracle(&model, &pairs));
+        prop_assert_eq!(ctr_bits(&evaluate_ctr(&model, &pairs)), oracle);
         for threads in THREAD_COUNTS {
-            // `assert_eq!` on the report compares AUC/accuracy as exact
-            // f64 bits — the contract is bit-identity, not tolerance.
-            prop_assert_eq!(evaluate_ctr_par(&model, &pairs, threads), serial);
+            prop_assert_eq!(ctr_bits(&evaluate_ctr_par(&model, &pairs, threads)), oracle);
         }
     }
 
@@ -119,11 +204,12 @@ proptest! {
     ) {
         let model = MixModel { items, tie_levels: ties };
         let ks = [1usize, 3, 7];
-        let serial = evaluate_topk(&model, &train, &test, &ks);
+        let oracle = topk_bits(&topk_oracle(&model, &train, &test, &ks));
+        prop_assert_eq!(topk_bits(&evaluate_topk(&model, &train, &test, &ks)), oracle.clone());
         for threads in THREAD_COUNTS {
             prop_assert_eq!(
-                evaluate_topk_par(&model, &train, &test, &ks, threads),
-                serial.clone()
+                topk_bits(&evaluate_topk_par(&model, &train, &test, &ks, threads)),
+                oracle.clone()
             );
         }
     }
