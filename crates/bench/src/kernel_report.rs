@@ -65,7 +65,7 @@ impl KernelReport {
     }
 
     /// Renders the report as a JSON document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str("  \"generator\": \"kernel_bench\",\n");
@@ -189,7 +189,7 @@ impl KernelRegression {
 
 /// Extracts one [`BaselineRow`] per kernel (name, `ns_per_op` and
 /// `checksum`) from a report previously written by
-/// [`KernelReport::to_json`].
+/// `KernelReport::to_json`.
 ///
 /// This reads the writer's own one-kernel-per-line layout — it is a
 /// baseline loader, not a general JSON parser (the workspace is

@@ -149,7 +149,7 @@ pub struct ModelReport {
 
 /// Directory-safe slug of a model name (`BPR-MF` → `bpr-mf`): checkpoint
 /// stores are keyed by it under the run's `--checkpoint-dir` root.
-pub fn model_slug(name: &str) -> String {
+pub(crate) fn model_slug(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
         .collect()

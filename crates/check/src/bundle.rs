@@ -137,7 +137,7 @@ impl<'a> CheckBundle<'a> {
 
     /// The training matrix rules should treat as ground truth: the
     /// split's train half when present, else all interactions.
-    pub fn train(&self) -> &'a InteractionMatrix {
+    pub(crate) fn train(&self) -> &'a InteractionMatrix {
         match self.split {
             Some(s) => &s.train,
             None => &self.dataset.interactions,

@@ -116,7 +116,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// Convenience constructor.
-    pub fn new(
+    pub(crate) fn new(
         code: &'static str,
         severity: Severity,
         subject: Subject,

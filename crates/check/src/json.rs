@@ -44,7 +44,7 @@ pub fn json_f64(v: f64) -> String {
 ///
 /// Source findings carry `file` and `line` fields so CI can anchor a
 /// diff to a location; every finding carries the rendered `subject`.
-pub fn diagnostic_json(d: &Diagnostic) -> String {
+pub(crate) fn diagnostic_json(d: &Diagnostic) -> String {
     let mut s = String::new();
     s.push_str(&format!(
         "{{\"code\": {}, \"severity\": {}, ",

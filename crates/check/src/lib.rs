@@ -14,10 +14,10 @@
 //!
 //! * [`Diagnostic`] — one finding: stable code, [`Severity`], message,
 //!   [`Subject`];
-//! * [`Rule`] — one named check; [`rules::default_rules`] is the standard
-//!   set of fourteen across three layers (KG integrity `KG0xx`,
-//!   dataset/split hygiene `DS0xx`, model/metadata consistency `MD0xx` —
-//!   see [`rules`] for the full table);
+//! * [`rules::Rule`] — one named check; [`CheckReport::run`] runs the
+//!   standard set of fifteen, data layout (`MD007`) first, then KG
+//!   integrity `KG0xx`, dataset/split hygiene `DS0xx` and model/metadata
+//!   consistency `MD0xx` — see [`rules`] for the full table;
 //! * [`srclint`] — *detlint*, the token-stream source analysis behind
 //!   `kglint --src`: a hand-rolled lexer, brace-scope context tracking,
 //!   and a registry of determinism/hot-path rules (`SA0xx` plus the
@@ -35,15 +35,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bundle;
-pub mod diagnostic;
+mod bundle;
+mod diagnostic;
 pub mod json;
-pub mod report;
+mod report;
 pub mod rules;
 pub mod srclint;
 
 pub use bundle::{default_model_hyperparams, CheckBundle, FloatAudit, HyperParam};
 pub use diagnostic::{Diagnostic, Severity, Subject};
 pub use report::CheckReport;
-pub use rules::{default_rules, Rule};
-pub use srclint::{scan_workspace, SrcScanReport};

@@ -2,7 +2,7 @@
 
 use crate::bundle::CheckBundle;
 use crate::diagnostic::{Diagnostic, Severity, Subject};
-use crate::rules::{default_rules, Rule};
+use crate::rules::{default_rules, is_store_finding, Rule};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -24,11 +24,24 @@ impl CheckReport {
         Self::run_rules(bundle, &default_rules())
     }
 
-    /// Runs an explicit rule set.
+    /// Runs an explicit rule set, in order. Once a rule reports an
+    /// unsound interaction store (MD007), each later rule that reads
+    /// through the store's accessors is skipped with one diagnostic.
     pub fn run_rules(bundle: &CheckBundle<'_>, rules: &[Box<dyn Rule>]) -> Self {
         let mut diagnostics = Vec::new();
+        let mut store_unsound = false;
         for rule in rules {
+            if store_unsound && rule.reads_store() {
+                diagnostics.push(Diagnostic::new(
+                    rule.code(),
+                    Severity::Warning,
+                    Subject::Dataset,
+                    "skipped: layout unsound (see MD007)",
+                ));
+                continue;
+            }
             let mut found = rule.check(bundle);
+            store_unsound |= found.iter().any(is_store_finding);
             if found.len() > MAX_DETAILED_PER_RULE {
                 let extra = found.len() - MAX_DETAILED_PER_RULE;
                 let worst = found.iter().map(|d| d.severity).max().unwrap_or(Severity::Info);

@@ -10,11 +10,15 @@ use kgrec_data::{ItemId, UserId};
 /// A user with zero interactions can never be trained or evaluated
 /// (warning); an item nobody interacted with is common in real catalogs
 /// and merely reported (info).
-pub struct EmptyRows;
+pub(crate) struct EmptyRows;
 
 impl Rule for EmptyRows {
     fn code(&self) -> &'static str {
         "DS001"
+    }
+
+    fn reads_store(&self) -> bool {
+        true
     }
 
     fn summary(&self) -> &'static str {
@@ -55,11 +59,15 @@ impl Rule for EmptyRows {
 ///
 /// A `(user, item)` pair present in both halves inflates every metric —
 /// the model is literally shown the answer.
-pub struct SplitLeakage;
+pub(crate) struct SplitLeakage;
 
 impl Rule for SplitLeakage {
     fn code(&self) -> &'static str {
         "DS002"
+    }
+
+    fn reads_store(&self) -> bool {
+        true
     }
 
     fn summary(&self) -> &'static str {
@@ -97,7 +105,7 @@ impl Rule for SplitLeakage {
 /// Checks the split halves against the dataset's `(m, n)` and every eval
 /// pair against the same bounds. Mismatches turn into silent truncation
 /// or out-of-bounds panics deep inside training loops.
-pub struct IdSpaceMismatch;
+pub(crate) struct IdSpaceMismatch;
 
 impl Rule for IdSpaceMismatch {
     fn code(&self) -> &'static str {
@@ -152,11 +160,15 @@ impl Rule for IdSpaceMismatch {
 /// A pair labeled negative that the user actually interacted with (in
 /// train or test) poisons CTR metrics in the pessimistic direction and
 /// usually indicates a broken sampler.
-pub struct NegativeCollisions;
+pub(crate) struct NegativeCollisions;
 
 impl Rule for NegativeCollisions {
     fn code(&self) -> &'static str {
         "DS004"
+    }
+
+    fn reads_store(&self) -> bool {
+        true
     }
 
     fn summary(&self) -> &'static str {

@@ -11,7 +11,7 @@ use kgrec_graph::EntityId;
 /// [`kgrec_graph::KnowledgeGraph::from_parts`] (loaders, external dumps)
 /// can carry dangling tail or relation ids, which index out of bounds the
 /// first time a model walks the edge.
-pub struct DanglingIds;
+pub(crate) struct DanglingIds;
 
 impl Rule for DanglingIds {
     fn code(&self) -> &'static str {
@@ -60,7 +60,7 @@ impl Rule for DanglingIds {
 ///
 /// [`kgrec_graph::KgBuilder`] deduplicates, but `from_parts` does not;
 /// duplicates silently double edge weights in every propagation model.
-pub struct DuplicateTriples;
+pub(crate) struct DuplicateTriples;
 
 impl Rule for DuplicateTriples {
     fn code(&self) -> &'static str {
@@ -97,7 +97,7 @@ impl Rule for DuplicateTriples {
 /// Checks length (one entity per item), range, and injectivity — two
 /// items aligned to one entity make `item_of` ambiguous and silently
 /// merge their KG neighborhoods.
-pub struct Alignment;
+pub(crate) struct Alignment;
 
 impl Rule for Alignment {
     fn code(&self) -> &'static str {
@@ -154,7 +154,7 @@ impl Rule for Alignment {
 /// model silently degrades to collaborative filtering for it. One or two
 /// are survivable; systematic occurrence usually means the alignment is
 /// wrong.
-pub struct IsolatedItems;
+pub(crate) struct IsolatedItems;
 
 impl Rule for IsolatedItems {
     fn code(&self) -> &'static str {
@@ -202,7 +202,7 @@ impl Rule for IsolatedItems {
 /// anything beyond that radius is dead weight in the embedding tables.
 /// Unused attribute values are normal in generated and real KGs alike, so
 /// this reports one aggregate `Info` diagnostic rather than flooding.
-pub struct UnreachableEntities;
+pub(crate) struct UnreachableEntities;
 
 impl Rule for UnreachableEntities {
     fn code(&self) -> &'static str {

@@ -20,6 +20,15 @@ pub struct LayoutIntegrity;
 
 const CODE: &str = "MD007";
 
+/// Prefix of every MD007 message about the KG adjacency; the others are
+/// about interaction stores.
+const ADJACENCY: &str = "adjacency: ";
+
+/// Whether `d` is an MD007 finding against an interaction store.
+pub(crate) fn is_store_finding(d: &Diagnostic) -> bool {
+    d.code == CODE && !d.message.starts_with(ADJACENCY)
+}
+
 fn columnar_diags(label: &str, matrix: &InteractionMatrix) -> Vec<Diagnostic> {
     matrix
         .validate()
@@ -65,7 +74,7 @@ impl Rule for LayoutIntegrity {
                 | CsrViolation::RelOutOfRange { edge, .. } => Subject::Triple(*edge),
                 _ => Subject::Graph,
             };
-            out.push(Diagnostic::new(CODE, Severity::Error, subject, format!("adjacency: {v}")));
+            out.push(Diagnostic::new(CODE, Severity::Error, subject, format!("{ADJACENCY}{v}")));
         }
         out
     }

@@ -26,12 +26,12 @@ mod kg;
 mod layout;
 mod model;
 
-pub use data::{EmptyRows, IdSpaceMismatch, NegativeCollisions, SplitLeakage};
-pub use kg::{Alignment, DanglingIds, DuplicateTriples, IsolatedItems, UnreachableEntities};
+pub(crate) use data::{EmptyRows, IdSpaceMismatch, NegativeCollisions, SplitLeakage};
+pub(crate) use kg::{Alignment, DanglingIds, DuplicateTriples, IsolatedItems, UnreachableEntities};
+pub(crate) use layout::is_store_finding;
 pub use layout::LayoutIntegrity;
-pub use model::{
-    HyperParamRanges, LearningRateSanity, MetaPathSchemas, NonFiniteValues, RegistryConsistency,
-};
+pub use model::RegistryConsistency;
+pub(crate) use model::{HyperParamRanges, LearningRateSanity, MetaPathSchemas, NonFiniteValues};
 
 use crate::bundle::CheckBundle;
 use crate::diagnostic::Diagnostic;
@@ -48,11 +48,21 @@ pub trait Rule {
     /// Runs the rule. The runner caps and orders the output; rules just
     /// emit everything they find.
     fn check(&self, bundle: &CheckBundle<'_>) -> Vec<Diagnostic>;
+
+    /// Whether the rule reads interaction stores through their accessors,
+    /// which index by the offsets MD007 vets. The runner skips such a rule
+    /// when MD007 finds a store unsound, instead of letting it panic.
+    fn reads_store(&self) -> bool {
+        false
+    }
 }
 
-/// The full default rule set, KG layer first.
-pub fn default_rules() -> Vec<Box<dyn Rule>> {
+/// The full default rule set: the layout rule first, so that the rules
+/// reading through the stores it vets run only on a sound layout; then
+/// the KG layer.
+pub(crate) fn default_rules() -> Vec<Box<dyn Rule>> {
     vec![
+        Box::new(LayoutIntegrity),
         Box::new(DanglingIds),
         Box::new(DuplicateTriples),
         Box::new(Alignment),
@@ -67,7 +77,6 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(HyperParamRanges),
         Box::new(NonFiniteValues),
         Box::new(LearningRateSanity),
-        Box::new(LayoutIntegrity),
     ]
 }
 

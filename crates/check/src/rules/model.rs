@@ -60,7 +60,7 @@ impl Rule for RegistryConsistency {
 /// base attribute relation must have its materialized inverse — without
 /// it the canonical `U-interact-I-r-A-r_inv-I` path is unresolvable and
 /// path-based models silently skip the relation.
-pub struct MetaPathSchemas;
+pub(crate) struct MetaPathSchemas;
 
 impl Rule for MetaPathSchemas {
     fn code(&self) -> &'static str {
@@ -186,7 +186,7 @@ const PARAM_SPECS: &[ParamSpec] = &[
 /// rate, non-finite anything) are errors; implausibly large values are
 /// warnings. Parameters with unknown names are ignored — the table only
 /// covers semantics the checker understands.
-pub struct HyperParamRanges;
+pub(crate) struct HyperParamRanges;
 
 impl Rule for HyperParamRanges {
     fn code(&self) -> &'static str {
@@ -255,7 +255,7 @@ fn is_learning_rate_name(name: &str) -> bool {
 /// zero rate freezes training, a negative one ascends the loss, and a
 /// non-finite one poisons every update — the static root causes the
 /// training supervisor later sees as divergence or NaN losses.
-pub struct LearningRateSanity;
+pub(crate) struct LearningRateSanity;
 
 impl Rule for LearningRateSanity {
     fn code(&self) -> &'static str {
@@ -295,7 +295,7 @@ impl Rule for LearningRateSanity {
 /// tables or score vectors to the bundle and a single NaN or infinity —
 /// the classic symptom of a diverged learning rate — becomes a diagnostic
 /// instead of a silently poisoned metric.
-pub struct NonFiniteValues;
+pub(crate) struct NonFiniteValues;
 
 impl Rule for NonFiniteValues {
     fn code(&self) -> &'static str {

@@ -41,7 +41,7 @@ enum Kind {
 }
 
 /// Builds the context for one token stream.
-pub fn build(tokens: &[Tok]) -> FileCx {
+pub(crate) fn build(tokens: &[Tok]) -> FileCx {
     let mut cx = FileCx {
         in_test: Vec::with_capacity(tokens.len()),
         in_epoch_loop: Vec::with_capacity(tokens.len()),

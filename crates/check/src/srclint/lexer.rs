@@ -59,13 +59,11 @@ pub struct Tok {
 
 /// One `// kglint::allow(CODE[, CODE…], reason)` suppression comment.
 #[derive(Debug, Clone)]
-pub struct Allow {
+pub(crate) struct Allow {
     /// 1-based line the comment sits on.
     pub line: usize,
     /// The rule codes it suppresses (`SA003`, `MD006`, …).
     pub codes: Vec<String>,
-    /// The mandatory free-text justification.
-    pub reason: String,
     /// Set when the comment looked like an allow but did not parse
     /// (missing reason, unbalanced parens); reported as `SA000`.
     pub error: Option<String>,
@@ -73,7 +71,7 @@ pub struct Allow {
 
 /// Lexer output: the token stream plus any suppression comments.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// Tokens in source order.
     pub tokens: Vec<Tok>,
     /// Suppression comments in source order.
@@ -87,7 +85,7 @@ const OPERATORS: &[&str] = &[
 ];
 
 /// Lexes one file's source text.
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     Lexer { src: src.as_bytes(), pos: 0, line: 1, out: Lexed::default() }.run()
 }
 
@@ -381,12 +379,7 @@ impl Lexer<'_> {
 
 /// Parses the tail of a `kglint::allow` comment: `(CODE[, CODE…], reason)`.
 fn parse_allow(rest: &str, line: usize) -> Allow {
-    let malformed = |why: &str| Allow {
-        line,
-        codes: Vec::new(),
-        reason: String::new(),
-        error: Some(why.to_owned()),
-    };
+    let malformed = |why: &str| Allow { line, codes: Vec::new(), error: Some(why.to_owned()) };
     let Some(open) = rest.find('(') else {
         return malformed("missing `(CODE, reason)` after kglint::allow");
     };
@@ -416,7 +409,7 @@ fn parse_allow(rest: &str, line: usize) -> Allow {
     if reason.is_empty() {
         return malformed("kglint::allow requires a reason: `kglint::allow(CODE, why)`");
     }
-    Allow { line, codes, reason, error: None }
+    Allow { line, codes, error: None }
 }
 
 /// `SA003` / `MD006` / `KG001` shape: two ASCII uppercase + three digits.
@@ -483,7 +476,6 @@ mod tests {
         let a = &lexed.allows[0];
         assert_eq!(a.line, 2);
         assert_eq!(a.codes, ["SA003", "SA006"]);
-        assert_eq!(a.reason, "free-list pool, order-irrelevant");
         assert!(a.error.is_none());
     }
 

@@ -8,11 +8,11 @@
 //! completion-order reductions, no truncating id casts, no panics in
 //! supervised fit paths, no allocating vector ops in epoch loops.
 //!
-//! Pipeline: [`lexer`] turns a file into a token stream (comments —
+//! Pipeline: `lexer` turns a file into a token stream (comments —
 //! including the `/* */` blocks the old line scanner missed — strings,
 //! raw strings, lifetimes, float vs integer literals all handled);
-//! [`context`] annotates every token with brace-scope facts (test code,
-//! epoch-loop bodies, enclosing `fn`); [`rules`] holds the registry of
+//! `context` annotates every token with brace-scope facts (test code,
+//! epoch-loop bodies, enclosing `fn`); `rules` holds the registry of
 //! path-scoped checks (`SA0xx` + the ported `MD006`). The engine here
 //! runs the applicable rules over each file, applies inline
 //! suppressions, and reports unused or malformed suppressions as
@@ -36,17 +36,19 @@
 //! matches no finding — the rule stopped firing, the code moved — is
 //! itself a finding (`SA000`), so stale allows cannot accumulate.
 
-pub mod context;
-pub mod lexer;
-pub mod rules;
+pub(crate) mod context;
+pub(crate) mod lexer;
+pub(crate) mod rules;
 
+pub use context::FileCx;
+pub use lexer::{Tok, TokKind};
 pub use rules::{src_rules, SourceFile, SrcRule};
 
 use crate::diagnostic::{Diagnostic, Severity, Subject};
 use std::path::Path;
 
 /// Code under which the engine reports unused/malformed suppressions.
-pub const SUPPRESSION_CODE: &str = "SA000";
+pub(crate) const SUPPRESSION_CODE: &str = "SA000";
 
 /// The result of a source scan.
 #[derive(Debug, Default)]

@@ -96,7 +96,7 @@ fn punct_is(tokens: &[Tok], i: usize, p: &str) -> bool {
 /// hasher's seed), so any accumulation or output fed from it silently
 /// breaks the bit-identity contract. The fix is `BTreeMap`/`BTreeSet`
 /// or an explicitly sorted snapshot before iteration.
-pub struct HashIteration;
+pub(crate) struct HashIteration;
 
 impl SrcRule for HashIteration {
     fn code(&self) -> &'static str {
@@ -143,7 +143,7 @@ impl SrcRule for HashIteration {
 /// on machine load, and `thread_rng`/`from_entropy` reseed from the OS.
 /// Wall-clock belongs only in the bench layer; every RNG in a model
 /// must be seeded from the run configuration.
-pub struct WallClockRng;
+pub(crate) struct WallClockRng;
 
 impl SrcRule for WallClockRng {
     fn code(&self) -> &'static str {
@@ -204,7 +204,7 @@ impl SrcRule for WallClockRng {
 /// *input index order*; combining worker output through a channel or by
 /// pushing into a shared `Mutex`-guarded collection recovers them in
 /// *completion order* instead, which varies with scheduling.
-pub struct CompletionOrder;
+pub(crate) struct CompletionOrder;
 
 impl SrcRule for CompletionOrder {
     fn code(&self) -> &'static str {
@@ -288,7 +288,7 @@ impl SrcRule for CompletionOrder {
 /// Exact float equality in a metric is almost always a rounding-fragile
 /// guard; restructure the comparison (`> 0.0`, `abs() < eps`, integer
 /// counts) so the metric cannot flip on the last ulp.
-pub struct FloatEquality;
+pub(crate) struct FloatEquality;
 
 impl SrcRule for FloatEquality {
     fn code(&self) -> &'static str {
@@ -345,7 +345,7 @@ impl SrcRule for FloatEquality {
 /// Ids are dense `u32`s; a raw `as u32` on a `usize` index silently
 /// wraps past 4 billion and scrambles every table indexed by the id.
 /// `kgrec_graph::id32` is the checked narrowing that panics instead.
-pub struct TruncatingIdCast;
+pub(crate) struct TruncatingIdCast;
 
 impl SrcRule for TruncatingIdCast {
     fn code(&self) -> &'static str {
@@ -394,7 +394,7 @@ impl SrcRule for TruncatingIdCast {
 /// model its training run. Covered functions: `fit` and anything
 /// starting with `train` (the KGE trainer entry points), closures
 /// included.
-pub struct FitPathUnwrap;
+pub(crate) struct FitPathUnwrap;
 
 /// Whether `name` is one of the fit-path entry points SA006 covers.
 fn covered_fit_fn(name: &str) -> bool {
@@ -453,7 +453,7 @@ impl SrcRule for FitPathUnwrap {
 /// (temp file + fsync + rename + parent fsync). The atomic writer itself
 /// and the fault injector (which plants torn files on purpose) carry
 /// `kglint::allow(SA007, …)` with their reasons.
-pub struct RawPersistenceWrite;
+pub(crate) struct RawPersistenceWrite;
 
 impl SrcRule for RawPersistenceWrite {
     fn code(&self) -> &'static str {
@@ -513,7 +513,7 @@ impl SrcRule for RawPersistenceWrite {
 /// Setup, ingest, and reload code in the same crate may allocate
 /// freely. A provably-amortized allocation (e.g. a grow-once path)
 /// can be waived with `kglint::allow(SA008, reason)`.
-pub struct ServePathAllocation;
+pub(crate) struct ServePathAllocation;
 
 /// Whether `name` is one of the request-path functions SA008 covers.
 fn covered_serve_fn(name: &str) -> bool {
@@ -584,7 +584,7 @@ impl SrcRule for ServePathAllocation {
 /// vector op; allocating inside a training epoch loop is the regression
 /// the kernel work removed. Unlike the predecessor this sees through
 /// block comments, strings, and multi-line loop headers.
-pub struct EpochAllocation;
+pub(crate) struct EpochAllocation;
 
 /// The allocating `kgrec_linalg::vector` calls with in-place variants.
 const ALLOCATING_OPS: &[&str] = &["add", "sub", "hadamard", "softmax"];

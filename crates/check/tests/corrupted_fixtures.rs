@@ -344,6 +344,36 @@ fn md007_fires_on_non_monotone_user_offsets() {
 }
 
 #[test]
+fn full_rule_set_reports_decreasing_offsets_instead_of_panicking() {
+    // The store of `md007_fires_on_non_monotone_user_offsets`, run through
+    // every default rule: the store-reading rules would index by the
+    // decreasing offsets, so MD007 must run first and they must be skipped.
+    let mut synth = tiny();
+    let split = ratio_split(&synth.dataset.interactions, 0.2, 5);
+    let (user, item, _) = split.train.iter().next().unwrap();
+    let pairs = vec![LabeledPair { user, item, positive: false }];
+    let (mut u_offsets, items, ratings, timestamps, i_offsets, i_users) =
+        raw_columns(&synth.dataset.interactions);
+    let n_users = synth.dataset.interactions.num_users();
+    let n_items = synth.dataset.interactions.num_items();
+    u_offsets[1] = u_offsets[n_users];
+    synth.dataset.interactions = InteractionMatrix::from_raw_parts(
+        n_users, n_items, u_offsets, items, ratings, timestamps, i_offsets, i_users,
+    );
+    let bundle = CheckBundle::new(&synth.dataset).with_split(&split).with_eval_pairs(&pairs);
+    let report = CheckReport::run(&bundle);
+    let md007: Vec<_> = report.diagnostics.iter().filter(|d| d.code == "MD007").collect();
+    assert_eq!(md007.len(), 1, "{}", report.render());
+    assert_eq!(md007[0].severity, Severity::Error);
+    assert!(report.fails(false));
+    for code in ["DS001", "DS002", "DS004"] {
+        let found: Vec<_> = report.diagnostics.iter().filter(|d| d.code == code).collect();
+        assert_eq!(found.len(), 1, "{code}: {}", report.render());
+        assert!(found[0].message.starts_with("skipped: layout unsound"), "{code}: {found:?}");
+    }
+}
+
+#[test]
 fn md007_fires_on_short_raw_parts_rating_column() {
     let mut synth = tiny();
     let (u_offsets, items, mut ratings, timestamps, i_offsets, i_users) =

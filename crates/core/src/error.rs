@@ -51,7 +51,7 @@ impl CoreError {
     /// plausibly succeed. Dataset and configuration errors are permanent;
     /// panics, divergence and non-finite outputs are often
     /// seed/learning-rate dependent.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         matches!(
             self,
             CoreError::Panicked { .. } | CoreError::Diverged { .. } | CoreError::NonFinite { .. }

@@ -37,7 +37,6 @@ pub mod supervisor;
 pub mod taxonomy;
 
 pub use error::CoreError;
-pub use explain::{Explainer, Explanation};
 pub use recommender::{Recommender, TrainContext};
 pub use supervisor::{panic_message, supervise_fit, FitOutcome, FitStatus, SupervisorConfig};
-pub use taxonomy::{Taxonomy, Technique, UsageType};
+pub use taxonomy::{Taxonomy, UsageType};

@@ -56,12 +56,6 @@ impl Default for SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// Sets the wall-clock budget.
-    pub fn with_budget(mut self, budget: Duration) -> Self {
-        self.wall_clock_budget = Some(budget);
-        self
-    }
-
     /// Sets the retry cap.
     pub fn with_max_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries;
@@ -552,7 +546,10 @@ mod tests {
             }
         }
         let mut m = Slow;
-        let cfg = SupervisorConfig::default().with_budget(Duration::from_millis(1));
+        let cfg = SupervisorConfig {
+            wall_clock_budget: Some(Duration::from_millis(1)),
+            ..SupervisorConfig::default()
+        };
         let o = run(&mut m, &cfg);
         assert_eq!(o.status, FitStatus::Degraded);
         assert!(o.is_usable());
@@ -591,8 +588,11 @@ mod tests {
             }
         }
         let mut m = SlowPanic;
-        let cfg =
-            SupervisorConfig::default().with_budget(Duration::from_millis(1)).with_max_retries(10);
+        let cfg = SupervisorConfig {
+            wall_clock_budget: Some(Duration::from_millis(1)),
+            ..SupervisorConfig::default()
+        }
+        .with_max_retries(10);
         let o = run(&mut m, &cfg);
         assert_eq!(o.status, FitStatus::Failed);
         assert_eq!(o.attempts, 1, "budget must cut the retry loop short");
@@ -677,8 +677,11 @@ mod tests {
             }
         }
         let mut m = SlowPanic;
-        let cfg =
-            SupervisorConfig::default().with_budget(Duration::from_millis(30)).with_max_retries(10);
+        let cfg = SupervisorConfig {
+            wall_clock_budget: Some(Duration::from_millis(30)),
+            ..SupervisorConfig::default()
+        }
+        .with_max_retries(10);
         let o = run(&mut m, &cfg);
         assert_eq!(o.status, FitStatus::Failed);
         assert_eq!(o.attempts, 1, "the futile retry must not be launched");

@@ -277,7 +277,7 @@ impl InteractionMatrix {
     /// `i_offsets` and `i_users`.
     ///
     /// Exists for the kglint `MD007` corrupted fixtures; production code
-    /// goes through [`Self::from_interactions`] or [`ColumnarBuilder`].
+    /// goes through [`Self::from_interactions`] or `ColumnarBuilder`.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         num_users: usize,
@@ -318,7 +318,7 @@ impl InteractionMatrix {
 
     /// The row range of `user`.
     #[inline]
-    pub fn user_range(&self, user: UserId) -> std::ops::Range<usize> {
+    pub(crate) fn user_range(&self, user: UserId) -> std::ops::Range<usize> {
         self.u_offsets[user.index()] as usize..self.u_offsets[user.index() + 1] as usize
     }
 
@@ -646,7 +646,7 @@ fn scatter_item_users(
 /// the earlier rows back-filled by sentinels; a column that never gets
 /// one is not stored at all.
 #[derive(Debug)]
-pub struct ColumnarBuilder {
+pub(crate) struct ColumnarBuilder {
     num_users: usize,
     num_items: usize,
     counts: Vec<u32>,
@@ -660,7 +660,7 @@ pub struct ColumnarBuilder {
 
 impl ColumnarBuilder {
     /// A builder for an `m × n` store.
-    pub fn new(num_users: usize, num_items: usize) -> Self {
+    pub(crate) fn new(num_users: usize, num_items: usize) -> Self {
         Self {
             num_users,
             num_items,
@@ -674,7 +674,7 @@ impl ColumnarBuilder {
 
     /// Reserves item-column capacity for `rows` upcoming pushes. A payload
     /// column, once materialized, takes the item column's capacity.
-    pub fn reserve(&mut self, rows: usize) {
+    pub(crate) fn reserve(&mut self, rows: usize) {
         self.items.reserve(rows);
     }
 
@@ -683,7 +683,7 @@ impl ColumnarBuilder {
     ///
     /// # Panics
     /// Panics on out-of-range ids or out-of-order pushes.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         user: UserId,
         item: ItemId,
@@ -719,7 +719,7 @@ impl ColumnarBuilder {
 
     /// Finalizes the columns and counts the item-major offsets; the
     /// item-major user column is left to its first reader.
-    pub fn finish(self) -> InteractionMatrix {
+    pub(crate) fn finish(self) -> InteractionMatrix {
         let mut u_offsets = vec![0u32; self.num_users + 1];
         for (u, &c) in self.counts.iter().enumerate() {
             u_offsets[u + 1] = u_offsets[u] + c;

@@ -90,7 +90,7 @@ impl KgDataset {
     /// Attaches user–user social links (survey §6 extension). Links are
     /// interpreted as undirected friendships; both directions are folded
     /// into the user–item graph.
-    pub fn with_social_links(mut self, links: Vec<(UserId, UserId)>) -> Self {
+    pub(crate) fn with_social_links(mut self, links: Vec<(UserId, UserId)>) -> Self {
         for &(a, b) in &links {
             assert!(a.index() < self.interactions.num_users(), "social link user out of range");
             assert!(b.index() < self.interactions.num_users(), "social link user out of range");
@@ -100,7 +100,7 @@ impl KgDataset {
     }
 
     /// Attaches per-item token lists (for text-aware models).
-    pub fn with_item_words(mut self, words: Vec<Vec<u32>>, vocab_size: usize) -> Self {
+    pub(crate) fn with_item_words(mut self, words: Vec<Vec<u32>>, vocab_size: usize) -> Self {
         assert_eq!(
             words.len(),
             self.interactions.num_items(),
@@ -114,12 +114,6 @@ impl KgDataset {
     /// Entity aligned with item `v`.
     pub fn entity_of(&self, v: ItemId) -> EntityId {
         self.item_entities[v.index()]
-    }
-
-    /// Reverse alignment: item for a graph entity, if any.
-    pub fn item_of(&self, e: EntityId) -> Option<ItemId> {
-        // Linear scan is fine: called only by explanation rendering.
-        self.item_entities.iter().position(|&x| x == e).map(|i| ItemId(id32(i)))
     }
 
     /// Builds the user–item graph for a given training matrix: the item KG
@@ -206,14 +200,6 @@ mod tests {
             ],
         );
         KgDataset::new(inter, graph, vec![i0, i1])
-    }
-
-    #[test]
-    fn alignment_roundtrip() {
-        let d = toy();
-        let e = d.entity_of(ItemId(1));
-        assert_eq!(d.item_of(e), Some(ItemId(1)));
-        assert_eq!(d.item_of(EntityId(2)), None); // the attribute entity
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl Interaction {
     }
 
     /// An explicit interaction with a rating.
-    pub fn rated(user: UserId, item: ItemId, rating: f32) -> Self {
+    pub(crate) fn rated(user: UserId, item: ItemId, rating: f32) -> Self {
         Self { user, item, rating: Some(rating), timestamp: None }
     }
 }

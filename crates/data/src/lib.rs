@@ -5,7 +5,7 @@
 //! * [`columnar`] — [`InteractionMatrix`], the user feedback matrix
 //!   `R ∈ {0,1}^{m×n}` of Section 3 (implicit by default, optional
 //!   explicit ratings and timestamps), one columnar store read both
-//!   user-major and item-major, and its streaming [`ColumnarBuilder`];
+//!   user-major and item-major, and its streaming `ColumnarBuilder`;
 //! * [`interactions`] — [`Interaction`], one observed entry of `R`;
 //! * [`split`] — per-user ratio and leave-one-out train/test splits;
 //! * [`negative`] — unobserved-item negative samplers and CTR-style
@@ -32,7 +32,7 @@
 pub mod columnar;
 pub mod dataset;
 pub mod faults;
-pub mod ids;
+mod ids;
 pub mod interactions;
 pub mod loader;
 pub mod negative;
@@ -40,9 +40,9 @@ pub mod registry;
 pub mod split;
 pub mod synth;
 
-pub use columnar::{ColumnarBuilder, InteractionMatrix};
+pub use columnar::InteractionMatrix;
 pub use dataset::KgDataset;
 pub use faults::{inject, Fault};
 pub use ids::{ItemId, UserId};
 pub use interactions::Interaction;
-pub use synth::{ScenarioConfig, SyntheticDataset};
+pub use synth::ScenarioConfig;

@@ -49,18 +49,6 @@ pub fn sample_negative<R: Rng + ?Sized>(
     unreachable!("complement size was computed as n - deg > 0")
 }
 
-/// Samples `k` negatives for a user (with replacement across draws, each
-/// draw uniform over unobserved items). Returns fewer than `k` only when
-/// the user has no unobserved items.
-pub fn sample_negatives<R: Rng + ?Sized>(
-    matrix: &InteractionMatrix,
-    user: UserId,
-    k: usize,
-    rng: &mut R,
-) -> Vec<ItemId> {
-    (0..k).filter_map(|_| sample_negative(matrix, user, rng)).collect()
-}
-
 /// A labeled user–item pair for CTR-style evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabeledPair {
@@ -161,13 +149,6 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(sample_negative(&m, UserId(0), &mut rng), Some(ItemId(2)));
         }
-    }
-
-    #[test]
-    fn sample_negatives_count() {
-        let m = toy();
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(sample_negatives(&m, UserId(1), 3, &mut rng).len(), 3);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! no event times. A third, [`systematic_holdout`], exists for the scale
 //! scenarios: it is RNG-free and keeps timestamps.
 //!
-//! All three stream both sides straight into [`ColumnarBuilder`]s in
+//! All three stream both sides straight into `ColumnarBuilder`s in
 //! `(user, item)` order, so splitting a ten-million-row store never
 //! materializes an intermediate interaction list or sorts one.
 

@@ -47,13 +47,13 @@ pub struct RelationSpec {
 
 impl RelationSpec {
     /// An item→attribute relation.
-    pub fn attribute(name: &str, num_values: usize, min: usize, max: usize) -> Self {
+    pub(crate) fn attribute(name: &str, num_values: usize, min: usize, max: usize) -> Self {
         assert!(min <= max && max > 0, "RelationSpec: bad values_per_item range");
         Self { name: name.to_owned(), num_values, values_per_item: (min, max), item_item: false }
     }
 
     /// An item→item relation.
-    pub fn item_item(name: &str, min: usize, max: usize) -> Self {
+    pub(crate) fn item_item(name: &str, min: usize, max: usize) -> Self {
         assert!(min <= max && max > 0, "RelationSpec: bad values_per_item range");
         Self { name: name.to_owned(), num_values: 0, values_per_item: (min, max), item_item: true }
     }
@@ -393,7 +393,7 @@ pub fn generate(config: &ScenarioConfig, seed: u64) -> SyntheticDataset {
 
 /// Streamed variant of [`generate`] for the scale scenarios (`huge` and
 /// its smoke reduction): interactions are pushed straight into a
-/// [`ColumnarBuilder`] — no intermediate [`Interaction`] list — and each
+/// `ColumnarBuilder` — no intermediate [`Interaction`] list — and each
 /// user's sampling work is `O(history)` instead of the dense generator's
 /// `O(num_items)` weight scan, so a million-user scenario generates in
 /// seconds within a bounded memory envelope.

@@ -69,14 +69,6 @@ impl KgBuilder {
         id
     }
 
-    /// Adds `n` anonymous entities of type `ty` and returns their ids.
-    ///
-    /// Used by the synthetic dataset generators where names carry no
-    /// information; the ids are contiguous.
-    pub fn entities_anon(&mut self, prefix: &str, n: usize, ty: EntityTypeId) -> Vec<EntityId> {
-        (0..n).map(|i| self.entity(&format!("{prefix}{i}"), ty)).collect()
-    }
-
     /// Interns a relation type by name, returning its id.
     pub fn relation(&mut self, name: &str) -> RelationId {
         if let Some(&id) = self.relation_index.get(name) {
@@ -95,26 +87,6 @@ impl KgBuilder {
         assert!(tail.index() < self.entity_names.len(), "triple: unknown tail entity");
         assert!(rel.index() < self.relation_names.len(), "triple: unknown relation");
         self.triples.push(Triple::new(head, rel, tail));
-    }
-
-    /// Looks up an entity id by name.
-    pub fn lookup_entity(&self, name: &str) -> Option<EntityId> {
-        self.entity_index.get(name).copied()
-    }
-
-    /// Looks up a relation id by name.
-    pub fn lookup_relation(&self, name: &str) -> Option<RelationId> {
-        self.relation_index.get(name).copied()
-    }
-
-    /// Number of entities added so far.
-    pub fn num_entities(&self) -> usize {
-        self.entity_names.len()
-    }
-
-    /// Number of triples added so far.
-    pub fn num_triples(&self) -> usize {
-        self.triples.len()
     }
 
     /// Finalizes the graph. When `add_inverse` is true, every relation `r`
@@ -205,13 +177,5 @@ mod tests {
         let mut b = KgBuilder::new();
         let r = b.relation("r");
         b.triple(EntityId(0), r, EntityId(1));
-    }
-
-    #[test]
-    fn anon_entities_contiguous() {
-        let mut b = KgBuilder::new();
-        let ty = b.entity_type("user");
-        let ids = b.entities_anon("u", 3, ty);
-        assert_eq!(ids, vec![EntityId(0), EntityId(1), EntityId(2)]);
     }
 }

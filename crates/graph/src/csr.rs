@@ -177,7 +177,7 @@ impl CsrAdjacency {
 
     /// The edge-index range of entity `e`.
     #[inline]
-    pub fn range(&self, e: EntityId) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self, e: EntityId) -> std::ops::Range<usize> {
         self.offsets[e.index()] as usize..self.offsets[e.index() + 1] as usize
     }
 
@@ -195,14 +195,14 @@ impl CsrAdjacency {
 
     /// The `k`-th out-edge of `e` as a `(relation, tail)` pair.
     #[inline]
-    pub fn edge_at(&self, e: EntityId, k: usize) -> (RelationId, EntityId) {
+    pub(crate) fn edge_at(&self, e: EntityId, k: usize) -> (RelationId, EntityId) {
         let i = self.offsets[e.index()] as usize + k;
         (self.rels[i], self.tails[i])
     }
 
     /// The fact stored at edge index `i` (head-major order).
     #[inline]
-    pub fn triple_at(&self, i: usize) -> Triple {
+    pub(crate) fn triple_at(&self, i: usize) -> Triple {
         Triple::new(self.heads[i], self.rels[i], self.tails[i])
     }
 

@@ -96,25 +96,6 @@ impl KnowledgeGraph {
         self.relation_names.iter().position(|n| n == name).map(|i| RelationId(id32(i)))
     }
 
-    /// Looks up an entity type id by name.
-    pub fn entity_type_by_name(&self, name: &str) -> Option<EntityTypeId> {
-        self.type_names.iter().position(|n| n == name).map(|i| EntityTypeId(id32(i)))
-    }
-
-    /// Looks up an entity id by name (linear scan; intended for examples
-    /// and tests, not hot paths).
-    pub fn entity_by_name(&self, name: &str) -> Option<EntityId> {
-        self.entity_names.iter().position(|n| n == name).map(|i| EntityId(id32(i)))
-    }
-
-    /// All entities of a given type, in id order.
-    pub fn entities_of_type(&self, ty: EntityTypeId) -> Vec<EntityId> {
-        (0..id32(self.num_entities()))
-            .map(EntityId)
-            .filter(|&e| self.entity_type(e) == ty)
-            .collect()
-    }
-
     /// Out-degree of entity `e`.
     #[inline]
     pub fn degree(&self, e: EntityId) -> usize {
@@ -185,14 +166,13 @@ impl KnowledgeGraph {
     pub fn set_adjacency_unchecked(&mut self, adj: CsrAdjacency) {
         self.adj = adj;
     }
+}
 
-    /// Mean out-degree (a sanity statistic used by the generators).
-    pub fn mean_degree(&self) -> f64 {
-        if self.num_entities() == 0 {
-            0.0
-        } else {
-            self.num_triples() as f64 / self.num_entities() as f64
-        }
+#[cfg(test)]
+impl KnowledgeGraph {
+    /// Looks up an entity id by name (linear scan; a test helper).
+    pub(crate) fn entity_by_name(&self, name: &str) -> Option<EntityId> {
+        self.entity_names.iter().position(|n| n == name).map(|i| EntityId(id32(i)))
     }
 }
 
@@ -223,7 +203,6 @@ mod tests {
         assert_eq!(g.num_relations(), 2);
         assert_eq!(g.num_entity_types(), 2);
         assert_eq!(g.num_triples(), 3);
-        assert!((g.mean_degree() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -274,17 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn entities_of_type_filters() {
-        let g = toy();
-        let tm = g.entity_type_by_name("movie").unwrap();
-        assert_eq!(g.entities_of_type(tm).len(), 2);
-    }
-
-    #[test]
     fn empty_graph_ok() {
         let g = KgBuilder::new().build(false);
         assert_eq!(g.num_entities(), 0);
         assert_eq!(g.num_triples(), 0);
-        assert_eq!(g.mean_degree(), 0.0);
     }
 }

@@ -25,11 +25,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod builder;
-pub mod csr;
-pub mod graph;
-pub mod ids;
-pub mod metapath;
+mod builder;
+mod csr;
+mod graph;
+mod ids;
+mod metapath;
 pub mod paths;
 pub mod pathsim;
 pub mod ripple;

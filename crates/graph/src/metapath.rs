@@ -54,11 +54,6 @@ impl MetaPath {
         false
     }
 
-    /// Human-readable rendering using relation names from `graph`.
-    pub fn describe(&self, graph: &KnowledgeGraph) -> String {
-        self.relations.iter().map(|&r| graph.relation_name(r)).collect::<Vec<_>>().join(" -> ")
-    }
-
     /// Counts the walks from `source` that follow this meta-path, returning
     /// `(target, count)` pairs sorted by entity id.
     ///
@@ -90,49 +85,6 @@ impl MetaPath {
         }
         frontier
     }
-
-    /// Enumerates concrete path instances from `source` following this
-    /// meta-path, up to `max_instances`. Each instance is the entity
-    /// sequence `e₀ … eₖ` (with `e₀ = source`).
-    ///
-    /// Instance order is deterministic (neighbor order of the CSR).
-    pub fn instances_from(
-        &self,
-        graph: &KnowledgeGraph,
-        source: EntityId,
-        max_instances: usize,
-    ) -> Vec<Vec<EntityId>> {
-        let mut out = Vec::new();
-        let mut stack = vec![source];
-        self.dfs_instances(graph, 0, &mut stack, &mut out, max_instances);
-        out
-    }
-
-    fn dfs_instances(
-        &self,
-        graph: &KnowledgeGraph,
-        depth: usize,
-        stack: &mut Vec<EntityId>,
-        out: &mut Vec<Vec<EntityId>>,
-        max_instances: usize,
-    ) {
-        if out.len() >= max_instances {
-            return;
-        }
-        if depth == self.relations.len() {
-            out.push(stack.clone());
-            return;
-        }
-        let cur = *stack.last().expect("stack nonempty");
-        for &t in graph.neighbors_by_relation(cur, self.relations[depth]) {
-            stack.push(t);
-            self.dfs_instances(graph, depth + 1, stack, out, max_instances);
-            stack.pop();
-            if out.len() >= max_instances {
-                return;
-            }
-        }
-    }
 }
 
 /// A weighted union of meta-paths — the computational form of a meta-graph.
@@ -146,16 +98,6 @@ impl MetaGraph {
     pub fn new(paths: Vec<MetaPath>) -> Self {
         let w = 1.0;
         Self { paths: paths.into_iter().map(|p| (p, w)).collect() }
-    }
-
-    /// Creates a meta-graph from weighted paths.
-    pub fn weighted(paths: Vec<(MetaPath, f64)>) -> Self {
-        Self { paths }
-    }
-
-    /// The constituent `(path, weight)` pairs.
-    pub fn paths(&self) -> &[(MetaPath, f64)] {
-        &self.paths
     }
 
     /// Fused walk counts from `source`: the weighted sum of the per-path
@@ -225,38 +167,13 @@ mod tests {
     }
 
     #[test]
-    fn instances_enumerated_in_order() {
-        let g = toy();
-        let p = MetaPath::from_names(&g, &["genre", "genre_inv"]).unwrap();
-        let m1 = g.entity_by_name("m1").unwrap();
-        let inst = p.instances_from(&g, m1, 10);
-        assert_eq!(inst.len(), 2);
-        assert!(inst.iter().all(|i| i.len() == 3 && i[0] == m1));
-    }
-
-    #[test]
-    fn instances_truncated_at_cap() {
-        let g = toy();
-        let p = MetaPath::from_names(&g, &["genre", "genre_inv"]).unwrap();
-        let m1 = g.entity_by_name("m1").unwrap();
-        assert_eq!(p.instances_from(&g, m1, 1).len(), 1);
-    }
-
-    #[test]
     fn metagraph_fuses_counts() {
         let g = toy();
         let p = MetaPath::from_names(&g, &["genre", "genre_inv"]).unwrap();
-        let mg = MetaGraph::weighted(vec![(p.clone(), 1.0), (p, 2.0)]);
+        let mg = MetaGraph { paths: vec![(p.clone(), 1.0), (p, 2.0)] };
         let m1 = g.entity_by_name("m1").unwrap();
         let counts = mg.walk_counts(&g, m1);
         assert!(counts.contains(&(m1, 3.0)));
-    }
-
-    #[test]
-    fn describe_uses_relation_names() {
-        let g = toy();
-        let p = MetaPath::from_names(&g, &["genre", "genre_inv"]).unwrap();
-        assert_eq!(p.describe(&g), "genre -> genre_inv");
     }
 
     #[test]

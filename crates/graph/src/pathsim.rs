@@ -17,16 +17,10 @@ use crate::metapath::MetaPath;
 /// be used directly to index item latent-factor tables.
 #[derive(Debug, Clone)]
 pub struct SimilarityMatrix {
-    entities: Vec<EntityId>,
     rows: Vec<Vec<(u32, f32)>>,
 }
 
 impl SimilarityMatrix {
-    /// The entity list the matrix is defined over.
-    pub fn entities(&self) -> &[EntityId] {
-        &self.entities
-    }
-
     /// Number of rows (== entities).
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -108,34 +102,35 @@ pub fn pathsim_matrix(
         out.sort_by_key(|&(c, _)| c);
         rows.push(out);
     }
-    SimilarityMatrix { entities: entities.to_vec(), rows }
-}
-
-/// PathSim between two specific entities under `metapath`.
-pub fn pathsim_pair(graph: &KnowledgeGraph, x: EntityId, y: EntityId, metapath: &MetaPath) -> f32 {
-    let cx = metapath.walk_counts(graph, x);
-    let get = |row: &[(EntityId, f64)], e: EntityId| {
-        row.binary_search_by_key(&e.0, |&(t, _)| t.0).map_or(0.0, |k| row[k].1)
-    };
-    let xy = get(&cx, y);
-    if xy == 0.0 {
-        return 0.0;
-    }
-    let xx = get(&cx, x);
-    let cy = metapath.walk_counts(graph, y);
-    let yy = get(&cy, y);
-    let denom = xx + yy;
-    if denom == 0.0 {
-        0.0
-    } else {
-        (2.0 * xy / denom) as f32
-    }
+    SimilarityMatrix { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::KgBuilder;
+
+    /// PathSim between two specific entities under `metapath`: survey
+    /// Eq. 12 per pair, the oracle the batch matrix is checked against.
+    fn pathsim_pair(graph: &KnowledgeGraph, x: EntityId, y: EntityId, metapath: &MetaPath) -> f32 {
+        let cx = metapath.walk_counts(graph, x);
+        let get = |row: &[(EntityId, f64)], e: EntityId| {
+            row.binary_search_by_key(&e.0, |&(t, _)| t.0).map_or(0.0, |k| row[k].1)
+        };
+        let xy = get(&cx, y);
+        if xy == 0.0 {
+            return 0.0;
+        }
+        let xx = get(&cx, x);
+        let cy = metapath.walk_counts(graph, y);
+        let yy = get(&cy, y);
+        let denom = xx + yy;
+        if denom == 0.0 {
+            0.0
+        } else {
+            (2.0 * xy / denom) as f32
+        }
+    }
 
     /// m1,m2 share genre g1; m3 has g2; m4 shares both g1 and g2 with none.
     fn toy() -> (KnowledgeGraph, Vec<EntityId>) {

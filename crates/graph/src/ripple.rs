@@ -28,11 +28,6 @@ impl RippleSets {
         self.sets.len()
     }
 
-    /// Whether every hop is empty (seeds had no outgoing facts).
-    pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
-    }
-
     /// Iterates over all triples across hops.
     pub fn all_triples(&self) -> impl Iterator<Item = &Triple> {
         self.sets.iter().flatten()
@@ -212,7 +207,7 @@ mod tests {
         let (g, ids) = toy();
         let mut rng = StdRng::seed_from_u64(4);
         let rs = ripple_sets(&g, &[ids[2]], 3, 4, false, &mut rng);
-        assert!(rs.is_empty());
+        assert!((0..rs.num_hops()).all(|k| rs.hop(k).is_empty()));
         assert_eq!(rs.num_hops(), 3);
     }
 

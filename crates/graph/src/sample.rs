@@ -15,7 +15,7 @@ use rand::Rng;
 /// entities as their own receptive field (KGCN pads with the entity
 /// itself; that substitution lives at the model layer where the self
 /// relation embedding is available).
-pub fn sample_neighbors<R: Rng + ?Sized>(
+pub(crate) fn sample_neighbors<R: Rng + ?Sized>(
     graph: &KnowledgeGraph,
     e: EntityId,
     k: usize,

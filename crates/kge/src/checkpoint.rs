@@ -16,7 +16,7 @@ use kgrec_store::{config_hash, Persistable, Section, SnapshotReader, SnapshotWri
 /// Fingerprint of everything that determines the training trajectory: a
 /// checkpoint is only resumable under the configuration that produced it.
 #[must_use]
-pub fn train_fingerprint(config: &TrainConfig, graph: &KnowledgeGraph) -> u64 {
+pub(crate) fn train_fingerprint(config: &TrainConfig, graph: &KnowledgeGraph) -> u64 {
     let seed = format!("seed={}", config.seed);
     let lr = format!("lr={:08x}", config.learning_rate.to_bits());
     let epochs = format!("epochs={}", config.epochs);

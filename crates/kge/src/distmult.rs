@@ -61,7 +61,7 @@ impl DistMult {
     }
 
     /// The trilinear score `Σᵢ hᵢrᵢtᵢ`.
-    pub fn trilinear(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
+    pub(crate) fn trilinear(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
         let hv = self.entities.row(h.index());
         let rv = self.relations.row(r.index());
         let tv = self.entities.row(t.index());
@@ -74,7 +74,7 @@ impl DistMult {
 
     /// One logistic-loss SGD step on a labeled triple; `label` is `+1.0`
     /// for true facts, `−1.0` for corrupted ones. Returns the loss.
-    pub fn train_labeled(&mut self, triple: Triple, label: f32, lr: f32) -> f32 {
+    pub(crate) fn train_labeled(&mut self, triple: Triple, label: f32, lr: f32) -> f32 {
         let (h, r, t) = (triple.head, triple.rel, triple.tail);
         let s = self.trilinear(h, r, t);
         let loss = vector::softplus(-label * s);
@@ -131,16 +131,6 @@ impl DistMult {
         out.push_op(GradOp::AddRow { table: T_REL, row: r.0, coeff: 1.0, seg: seg_gr });
         out.push_op(GradOp::AddRow { table: T_ENT, row: t.0, coeff: 1.0, seg: seg_gt });
         loss
-    }
-
-    /// Read access to the entity table.
-    pub fn entities(&self) -> &EmbeddingTable {
-        &self.entities
-    }
-
-    /// Read access to the relation table.
-    pub fn relations(&self) -> &EmbeddingTable {
-        &self.relations
     }
 }
 

@@ -64,20 +64,6 @@ fn triple_ranks<M: KgeModel + ?Sized>(
     [tail_rank, head_rank]
 }
 
-/// Evaluates `model` on `test` triples against the filter graph
-/// (typically the full graph including train and test facts).
-///
-/// Both head and tail prediction are evaluated; each test triple
-/// contributes two ranks. Returns `None` when `test` is empty.
-/// Equivalent to [`link_prediction_par`] with one thread.
-pub fn link_prediction<M: KgeModel + ?Sized>(
-    model: &M,
-    filter: &KnowledgeGraph,
-    test: &[Triple],
-) -> Option<LinkPredictionReport> {
-    link_prediction_par(model, filter, test, 1)
-}
-
 /// Filtered link prediction on up to `threads` workers of the
 /// deterministic pool.
 ///
@@ -126,7 +112,7 @@ mod tests {
         let g = KgBuilder::new().build(false);
         let mut rng = StdRng::seed_from_u64(1);
         let m = TransE::new(&mut rng, 1, 1, 4, 1.0);
-        assert!(link_prediction(&m, &g, &[]).is_none());
+        assert!(link_prediction_par(&m, &g, &[], 1).is_none());
     }
 
     #[test]
@@ -141,7 +127,7 @@ mod tests {
         let g = b.build(false);
         let mut rng = StdRng::seed_from_u64(2);
         let m = TransE::new(&mut rng, 2, 1, 4, 1.0);
-        let rep = link_prediction(&m, &g, &[Triple::new(a, RelationId(0), c)]).unwrap();
+        let rep = link_prediction_par(&m, &g, &[Triple::new(a, RelationId(0), c)], 1).unwrap();
         // Tail side: the only alternative (a) might outrank; head side the
         // only alternative (c) might outrank — ranks are in {1, 2}.
         assert!(rep.mean_rank >= 1.0 && rep.mean_rank <= 2.0);
@@ -163,7 +149,7 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(3);
         let untrained = TransE::new(&mut rng, 10, 1, 16, 1.0);
-        let before = link_prediction(&untrained, &g, &test).unwrap();
+        let before = link_prediction_par(&untrained, &g, &test, 1).unwrap();
 
         let mut trained = untrained.clone();
         train(
@@ -171,7 +157,7 @@ mod tests {
             &g,
             &TrainConfig { epochs: 80, learning_rate: 0.05, seed: 4, threads: None },
         );
-        let after = link_prediction(&trained, &g, &test).unwrap();
+        let after = link_prediction_par(&trained, &g, &test, 1).unwrap();
         assert!(
             after.mrr >= before.mrr,
             "training should not hurt MRR: {} -> {}",
@@ -194,7 +180,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let m = TransE::new(&mut rng, 12, 1, 8, 1.0);
         let test: Vec<Triple> = g.iter_triples().collect();
-        let serial = link_prediction(&m, &g, &test).unwrap();
+        let serial = link_prediction_par(&m, &g, &test, 1).unwrap();
         for threads in [2, 4, 7] {
             let par = link_prediction_par(&m, &g, &test, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
@@ -215,7 +201,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let m = TransE::new(&mut rng, 6, 1, 8, 1.0);
         let test: Vec<Triple> = g.iter_triples().collect();
-        let rep = link_prediction(&m, &g, &test).unwrap();
+        let rep = link_prediction_par(&m, &g, &test, 1).unwrap();
         assert!(rep.hits_at_1 <= rep.hits_at_3);
         assert!(rep.hits_at_3 <= rep.hits_at_10);
         assert!(rep.mrr > 0.0 && rep.mrr <= 1.0);

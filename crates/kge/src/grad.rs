@@ -134,7 +134,7 @@ impl GradBatch {
     /// # Panics
     /// Panics if any source segment does not end at or before `dst`'s
     /// start (sources must be allocated before the destination).
-    pub fn seg_mut_with<const N: usize>(
+    pub(crate) fn seg_mut_with<const N: usize>(
         &mut self,
         dst: Seg,
         srcs: [Seg; N],
@@ -159,7 +159,7 @@ impl GradBatch {
 
     /// Records one pair's loss.
     #[inline]
-    pub fn push_loss(&mut self, loss: f32) {
+    pub(crate) fn push_loss(&mut self, loss: f32) {
         self.losses.push(loss);
     }
 
@@ -169,7 +169,7 @@ impl GradBatch {
     }
 
     /// The recorded per-pair losses, in pair order.
-    pub fn losses(&self) -> &[f32] {
+    pub(crate) fn losses(&self) -> &[f32] {
         &self.losses
     }
 }

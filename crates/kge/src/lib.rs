@@ -10,35 +10,33 @@
 //! The shared [`KgeModel`] trait exposes plausibility scoring and the
 //! learned embeddings; [`trainer`] provides the negative-sampling margin /
 //! logistic training loop — plain ([`trainer::train`]), observable
-//! ([`trainer::train_with_from`]), and guarded against loss divergence with
+//! (`trainer::train_with_from`), and guarded against loss divergence with
 //! last-good snapshot rollback ([`trainer::train_guarded`]), which given a
 //! checkpoint store also saves every healthy epoch and resumes from the
-//! last good one ([`checkpoint`] holds the snapshot format); [`eval`]
+//! last good one (`checkpoint` holds the snapshot format); [`eval`]
 //! implements filtered link-prediction metrics (MR, MRR, Hits@K).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // gradient kernels index slices in lockstep
 
-pub mod checkpoint;
-pub mod distmult;
+mod checkpoint;
+mod distmult;
 pub mod eval;
-pub mod grad;
+mod grad;
 pub mod metapath2vec;
-pub mod model;
+mod model;
 mod persist;
 pub mod trainer;
-pub mod transd;
-pub mod transe;
-pub mod transh;
-pub mod transr;
+mod transd;
+mod transe;
+mod transh;
+mod transr;
 
 pub use distmult::DistMult;
-pub use grad::{GradBatch, GradOp};
+pub use grad::{GradBatch, GradOp, Seg};
 pub use model::KgeModel;
-pub use trainer::{
-    train, train_guarded, train_with_from, EpochStats, GuardedReport, TrainConfig, TrainControl,
-};
+pub use trainer::{train, train_guarded, TrainConfig};
 pub use transd::TransD;
 pub use transe::TransE;
 pub use transh::TransH;

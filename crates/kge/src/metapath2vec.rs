@@ -51,7 +51,7 @@ impl Default for Metapath2VecConfig {
 /// Generates random walks. When `pattern` is given, each step follows the
 /// next relation of the (cyclically repeated) meta-path; otherwise any
 /// out-edge is taken uniformly. Walks stop early at dead ends.
-pub fn random_walks(
+pub(crate) fn random_walks(
     graph: &KnowledgeGraph,
     pattern: Option<&MetaPath>,
     config: &Metapath2VecConfig,
@@ -100,7 +100,7 @@ pub fn random_walks(
 
 /// Trains skip-gram with negative sampling on `walks`, returning the
 /// center-entity embedding table.
-pub fn train_skipgram(
+pub(crate) fn train_skipgram(
     graph: &KnowledgeGraph,
     walks: &[Vec<EntityId>],
     config: &Metapath2VecConfig,

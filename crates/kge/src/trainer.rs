@@ -93,7 +93,7 @@ const GRAD_SUB: usize = 64;
 
 /// Per-epoch training statistics handed to [`train_with_from`] observers.
 #[derive(Debug, Clone, Copy)]
-pub struct EpochStats {
+pub(crate) struct EpochStats {
     /// 0-based epoch index.
     pub epoch: usize,
     /// Mean per-pair loss of the epoch.
@@ -102,7 +102,7 @@ pub struct EpochStats {
 
 /// Observer decision after each epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainControl {
+pub(crate) enum TrainControl {
     /// Keep training.
     Continue,
     /// Stop before the next epoch (early stop / divergence abort).
@@ -127,7 +127,7 @@ pub enum TrainControl {
 ///
 /// # Panics
 /// Panics if the model is sized for fewer entities than the graph.
-pub fn train_with_from<M, F>(
+pub(crate) fn train_with_from<M, F>(
     model: &mut M,
     graph: &KnowledgeGraph,
     config: &TrainConfig,
@@ -275,7 +275,7 @@ pub struct GuardedReport {
 
 impl GuardedReport {
     /// Whether training ran to completion without tripping the monitor.
-    pub fn completed(&self) -> bool {
+    pub(crate) fn completed(&self) -> bool {
         self.aborted_at.is_none()
     }
 
@@ -305,12 +305,12 @@ fn restore<M: Persistable>(
 /// last-good snapshot (when one exists — a first-epoch explosion leaves
 /// nothing to roll back to, and `usable()` reports it).
 ///
-/// With a `store` the run is also crash-safe (see [`crate::checkpoint`]):
+/// With a `store` the run is also crash-safe (see `crate::checkpoint`):
 ///
 /// 1. **Resume** — the store's most recent usable generation is restored
 ///    when its fingerprint matches; training continues from the recorded
 ///    epoch, replaying the RNG draws of completed epochs (see
-///    [`train_with_from`]), so a resumed run finishes with parameters
+///    `train_with_from`), so a resumed run finishes with parameters
 ///    bit-identical to an uninterrupted one.
 /// 2. **Save** — every healthy epoch is checkpointed (atomic write, new
 ///    generation, last-good pointer). A failed save never aborts

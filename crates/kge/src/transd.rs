@@ -102,7 +102,7 @@ impl TransD {
     /// directly (same per-element expression and accumulation order as
     /// `residual` + `norm_sq`, so the value is bit-identical) without
     /// materialising the residual vector.
-    pub fn distance(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
+    pub(crate) fn distance(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
         let hv = self.entities.row(h.index());
         let tv = self.entities.row(t.index());
         let rv = self.relations.row(r.index());
@@ -244,11 +244,6 @@ impl TransD {
             T_REL => &mut self.relations,
             _ => &mut self.relation_proj,
         }
-    }
-
-    /// Read access to the entity table.
-    pub fn entities(&self) -> &EmbeddingTable {
-        &self.entities
     }
 }
 

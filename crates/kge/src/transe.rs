@@ -132,8 +132,9 @@ impl TransE {
         kgrec_linalg::vector::project_to_ball(self.entities.row_mut(e.index()), 1.0);
     }
 
-    /// Read access to the relation table.
-    pub fn relations(&self) -> &EmbeddingTable {
+    /// Read access to the relation table (tests fingerprint it).
+    #[cfg(test)]
+    pub(crate) fn relations(&self) -> &EmbeddingTable {
         &self.relations
     }
 }

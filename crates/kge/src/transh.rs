@@ -66,7 +66,7 @@ impl TransH {
     }
 
     /// Hyperplane distance; see module docs.
-    pub fn distance(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
+    pub(crate) fn distance(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
         let w = self.normals.row(r.index());
         let dr = self.translations.row(r.index());
         let hv = self.entities.row(h.index());
@@ -197,11 +197,6 @@ impl TransH {
         out.push_op(GradOp::ProjectBall { table: T_ENT, row: triple.head.0, radius: 1.0 });
         out.push_op(GradOp::ProjectBall { table: T_ENT, row: triple.tail.0, radius: 1.0 });
         out.push_op(GradOp::NormalizeRow { table: T_NOR, row: triple.rel.0 });
-    }
-
-    /// Read access to the entity table.
-    pub fn entities(&self) -> &EmbeddingTable {
-        &self.entities
     }
 }
 

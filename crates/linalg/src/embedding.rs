@@ -57,13 +57,6 @@ impl EmbeddingTable {
         t
     }
 
-    /// Creates a table initialized with `N(0, std²)`.
-    pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, n: usize, dim: usize, std: f32) -> Self {
-        let mut t = Self::zeros(n, dim);
-        init::gaussian(rng, &mut t.data, 0.0, std);
-        t
-    }
-
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
@@ -95,23 +88,6 @@ impl EmbeddingTable {
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
         &mut self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Two distinct mutable rows at once (for pairwise update rules).
-    ///
-    /// # Panics
-    /// Panics if `a == b`.
-    pub fn rows_mut2(&mut self, a: usize, b: usize) -> (&mut [f32], &mut [f32]) {
-        assert_ne!(a, b, "rows_mut2: identical indices");
-        let d = self.dim;
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b * d);
-            (&mut lo[a * d..(a + 1) * d], &mut hi[..d])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a * d);
-            let bslice = &mut lo[b * d..(b + 1) * d];
-            (&mut hi[..d], bslice)
-        }
     }
 
     /// Raw flat parameter view (row-major).
@@ -165,11 +141,6 @@ impl EmbeddingTable {
         vector::scale(&mut out, 1.0 / ids.len() as f32);
         out
     }
-
-    /// Sum of squared parameters (for L2 regularization reporting).
-    pub fn l2_norm_sq(&self) -> f32 {
-        vector::norm_sq(&self.data)
-    }
 }
 
 #[cfg(test)]
@@ -185,32 +156,6 @@ mod tests {
         assert_eq!(t.row(0), &[0.0; 4]);
         assert_eq!(t.row(1), &[2.0; 4]);
         assert_eq!(t.row(2), &[0.0; 4]);
-    }
-
-    #[test]
-    fn rows_mut2_both_orders() {
-        let mut t = EmbeddingTable::zeros(4, 2);
-        {
-            let (a, b) = t.rows_mut2(1, 3);
-            a.fill(1.0);
-            b.fill(3.0);
-        }
-        {
-            let (a, b) = t.rows_mut2(2, 0);
-            a.fill(2.0);
-            b.fill(0.5);
-        }
-        assert_eq!(t.row(0), &[0.5, 0.5]);
-        assert_eq!(t.row(1), &[1.0, 1.0]);
-        assert_eq!(t.row(2), &[2.0, 2.0]);
-        assert_eq!(t.row(3), &[3.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical indices")]
-    fn rows_mut2_same_index_panics() {
-        let mut t = EmbeddingTable::zeros(2, 2);
-        let _ = t.rows_mut2(1, 1);
     }
 
     #[test]

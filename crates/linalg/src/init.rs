@@ -15,7 +15,7 @@ pub fn uniform<R: Rng + ?Sized>(rng: &mut R, buf: &mut [f32], lo: f32, hi: f32) 
 }
 
 /// Fills `buf` with the TransE initialization `U[-6/√d, 6/√d)`.
-pub fn transe_uniform<R: Rng + ?Sized>(rng: &mut R, buf: &mut [f32], dim: usize) {
+pub(crate) fn transe_uniform<R: Rng + ?Sized>(rng: &mut R, buf: &mut [f32], dim: usize) {
     let b = 6.0 / (dim as f32).sqrt();
     uniform(rng, buf, -b, b);
 }
@@ -51,13 +51,6 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, buf: &mut [f32], mean: f32, std: f
             i += 1;
         }
     }
-}
-
-/// Samples one standard normal value.
-pub fn gaussian_one<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-    let mut buf = [0.0f32];
-    gaussian(rng, &mut buf, 0.0, 1.0);
-    buf[0]
 }
 
 #[cfg(test)]

@@ -10,13 +10,12 @@
 //!   autovectorization-friendly fixed-width loops that keep the default
 //!   accumulation order bit-identical to scalar code (relaxed only behind
 //!   the `fast-math` cargo feature);
-//! * [`matrix`] — a row-major dense [`matrix::Matrix`] with the product
+//! * `matrix` — a row-major dense [`matrix::Matrix`] with the product
 //!   kernels the models need (matvec, outer products, Gram updates);
-//! * [`embedding`] — [`embedding::EmbeddingTable`], the workhorse container
+//! * `embedding` — [`embedding::EmbeddingTable`], the workhorse container
 //!   for entity / relation / user / item latent vectors;
 //! * [`init`] — seeded weight initializers (uniform, Xavier, Gaussian);
-//! * [`optim`] — SGD / AdaGrad / Adam with support for sparse row updates;
-//! * [`nn`] — dense layers, activations and a small MLP with hand-written
+//! * `nn` — dense layers, activations and a small MLP with hand-written
 //!   backward passes;
 //! * [`rnn`] — a vanilla recurrent cell with full back-propagation through
 //!   time, used by the path-encoding recommenders (RKGE / KPRN style);
@@ -25,7 +24,7 @@
 //! * [`par`] — the deterministic worker pool ([`par::par_map`]):
 //!   index-addressed sharding with fixed-order reduction, so parallel
 //!   evaluation is bit-identical to serial at any thread count;
-//! * [`scratch`] — [`scratch::Scratch`], a buffer arena that keeps the
+//! * `scratch` — [`scratch::Scratch`], a buffer arena that keeps the
 //!   allocator off the per-triple training hot path;
 //! * [`gradcheck`] — finite-difference gradient checking used throughout the
 //!   test suites to validate every hand-derived gradient.
@@ -39,15 +38,14 @@
 // iterator rewrites clippy suggests obscure the math being transcribed.
 #![allow(clippy::needless_range_loop)]
 
-pub mod embedding;
+mod embedding;
 pub mod gradcheck;
 pub mod init;
-pub mod matrix;
-pub mod nn;
-pub mod optim;
+mod matrix;
+mod nn;
 pub mod par;
 pub mod rnn;
-pub mod scratch;
+mod scratch;
 pub mod simd;
 pub mod stability;
 pub mod vector;
@@ -55,6 +53,5 @@ pub mod vector;
 pub use embedding::EmbeddingTable;
 pub use matrix::Matrix;
 pub use nn::{Activation, Dense, Mlp};
-pub use optim::{Adagrad, Adam, Optimizer, Sgd};
 pub use scratch::Scratch;
-pub use stability::{DivergencePolicy, LossMonitor, LossVerdict};
+pub use stability::DivergencePolicy;

@@ -3,7 +3,7 @@
 //! [`Matrix`] is the parameter container for projection matrices (TransR's
 //! `M_r`, RippleNet's relation matrices `R_i`, dense-layer weights). The
 //! kernels here are exactly the ones the hand-written backward passes need:
-//! `A·x`, `Aᵀ·x`, rank-1 updates (`A += α·x·yᵀ`) and outer products.
+//! `A·x`, `Aᵀ·x` and rank-1 updates (`A += α·x·yᵀ`).
 
 use crate::simd::{self, LANES};
 use crate::vector;
@@ -95,7 +95,7 @@ impl Matrix {
 
     /// Mutable view of row `r`.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -218,15 +218,8 @@ impl Matrix {
         out
     }
 
-    /// `A += α · B`, element-wise.
-    pub fn add_scaled(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.rows, other.rows, "add_scaled: row mismatch");
-        assert_eq!(self.cols, other.cols, "add_scaled: col mismatch");
-        vector::axpy(alpha, &other.data, &mut self.data);
-    }
-
     /// Sets every element to zero (for gradient buffers reused across steps).
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.data.fill(0.0);
     }
 
@@ -236,16 +229,16 @@ impl Matrix {
     }
 }
 
-/// Outer product `x · yᵀ` as a fresh matrix.
-pub fn outer(x: &[f32], y: &[f32]) -> Matrix {
-    let mut m = Matrix::zeros(x.len(), y.len());
-    m.rank1_update(1.0, x, y);
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Outer product `x · yᵀ` as a fresh matrix.
+    fn outer(x: &[f32], y: &[f32]) -> Matrix {
+        let mut m = Matrix::zeros(x.len(), y.len());
+        m.rank1_update(1.0, x, y);
+        m
+    }
 
     #[test]
     fn identity_matvec_is_noop() {
@@ -273,10 +266,8 @@ mod tests {
         a.rank1_update(2.0, &[1.0, -1.0], &[1.0, 2.0, 3.0]);
         assert_eq!(a.data(), &[2.0, 4.0, 6.0, -2.0, -4.0, -6.0]);
         let o = outer(&[1.0, -1.0], &[1.0, 2.0, 3.0]);
-        let mut scaled = o.clone();
-        scaled.fill_zero();
-        scaled.add_scaled(2.0, &o);
-        assert_eq!(a, scaled);
+        let scaled: Vec<f32> = o.data().iter().map(|v| 2.0 * v).collect();
+        assert_eq!(a.data(), &scaled[..]);
     }
 
     #[test]

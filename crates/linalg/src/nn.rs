@@ -39,7 +39,7 @@ pub enum Activation {
 impl Activation {
     /// Applies the activation to one value.
     #[inline]
-    pub fn apply(self, x: f32) -> f32 {
+    pub(crate) fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Identity => x,
             Activation::Sigmoid => vector::sigmoid(x),
@@ -52,7 +52,7 @@ impl Activation {
     /// Derivative `f'(x)` given both the pre-activation `x` and the output
     /// `y = f(x)` (whichever is cheaper is used).
     #[inline]
-    pub fn derivative(self, x: f32, y: f32) -> f32 {
+    pub(crate) fn derivative(self, x: f32, y: f32) -> f32 {
         match self {
             Activation::Identity => 1.0,
             Activation::Sigmoid => y * (1.0 - y),
@@ -69,7 +69,7 @@ impl Activation {
     }
 
     /// Applies the activation element-wise in place.
-    pub fn apply_slice(self, xs: &mut [f32]) {
+    pub(crate) fn apply_slice(self, xs: &mut [f32]) {
         for v in xs.iter_mut() {
             *v = self.apply(*v);
         }
@@ -115,16 +115,6 @@ impl Dense {
             dpre: Vec::new(),
             saved: Vec::new(),
         }
-    }
-
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.w.cols()
-    }
-
-    /// Output dimension.
-    pub fn output_dim(&self) -> usize {
-        self.w.rows()
     }
 
     /// Immutable weight matrix view.
@@ -208,7 +198,7 @@ impl Dense {
     }
 
     /// Pure inference forward pass: no caching, usable through `&self`.
-    pub fn infer(&self, x: &[f32]) -> Vec<f32> {
+    pub(crate) fn infer(&self, x: &[f32]) -> Vec<f32> {
         let mut pre = self.w.matvec(x);
         vector::axpy(1.0, &self.b, &mut pre);
         self.act.apply_slice(&mut pre);
@@ -359,7 +349,7 @@ impl Dense {
     }
 
     /// Zeroes the accumulated gradients.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.gw.fill_zero();
         self.gb.fill(0.0);
     }
@@ -427,16 +417,6 @@ impl Mlp {
             layers.push(Dense::new(rng, w[0], w[1], act));
         }
         Self { layers }
-    }
-
-    /// The layers, for inspection.
-    pub fn layers(&self) -> &[Dense] {
-        &self.layers
-    }
-
-    /// Mutable layer access (tests use this for deterministic weights).
-    pub fn layers_mut(&mut self) -> &mut [Dense] {
-        &mut self.layers
     }
 
     /// Forward pass with caching for `backward`.

@@ -38,21 +38,6 @@ impl RnnTrace {
     pub fn final_hidden(&self) -> &[f32] {
         self.hidden.last().expect("RnnTrace always contains h_0")
     }
-
-    /// All hidden states `h_1..h_T` (excluding the initial zero state).
-    pub fn hidden_states(&self) -> &[Vec<f32>] {
-        &self.hidden[1..]
-    }
-
-    /// Sequence length.
-    pub fn len(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Whether the encoded sequence was empty.
-    pub fn is_empty(&self) -> bool {
-        self.inputs.is_empty()
-    }
 }
 
 impl RnnCell {
@@ -73,12 +58,12 @@ impl RnnCell {
     }
 
     /// Hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
+    pub(crate) fn hidden_dim(&self) -> usize {
         self.wh.rows()
     }
 
     /// Input dimension.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.wx.cols()
     }
 
@@ -168,7 +153,7 @@ mod tests {
         let cell = RnnCell::new(&mut rng, 3, 4);
         let trace = cell.forward(&[]);
         assert_eq!(trace.final_hidden(), &[0.0; 4]);
-        assert!(trace.is_empty());
+        assert_eq!(trace.hidden.len(), 1, "only h_0");
     }
 
     #[test]
@@ -177,10 +162,10 @@ mod tests {
         let cell = RnnCell::new(&mut rng, 2, 3);
         let seq: Vec<Vec<f32>> = (0..5).map(|i| vec![i as f32, -(i as f32)]).collect();
         let trace = cell.forward(&seq);
-        for h in trace.hidden_states() {
+        for h in &trace.hidden[1..] {
             assert!(h.iter().all(|v| v.abs() <= 1.0));
         }
-        assert_eq!(trace.len(), 5);
+        assert_eq!(trace.hidden.len() - 1, 5);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl Scratch {
     pub fn put(&mut self, buf: Vec<f32>) {
         self.pool.push(buf);
     }
-
-    /// Number of buffers currently parked in the pool.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
 }
 
 #[cfg(test)]
@@ -66,10 +61,10 @@ mod tests {
         let b = s.take(8);
         let ptr = b.as_ptr();
         s.put(b);
-        assert_eq!(s.pooled(), 1);
+        assert_eq!(s.pool.len(), 1);
         let again = s.take(8);
         assert_eq!(again.as_ptr(), ptr, "pooled buffer must be reused, not reallocated");
-        assert_eq!(s.pooled(), 0);
+        assert_eq!(s.pool.len(), 0);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 /// Panics if `x.len() != y.len()`.
 #[cfg(feature = "fast-math")]
 #[inline]
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
+pub(crate) fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dot: dimension mismatch");
     let n8 = blocked(x.len());
     let (xb, xr) = x.split_at(n8);
@@ -170,7 +170,7 @@ pub fn dot8(x: &[f32], ys: [&[f32]; LANES]) -> [f32; LANES] {
 /// Panics if any row's length differs from `x.len()`.
 #[cfg(feature = "fast-math")]
 #[inline]
-pub fn dot8(x: &[f32], ys: [&[f32]; LANES]) -> [f32; LANES] {
+pub(crate) fn dot8(x: &[f32], ys: [&[f32]; LANES]) -> [f32; LANES] {
     ys.map(|y| dot(x, y))
 }
 

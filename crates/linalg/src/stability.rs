@@ -63,23 +63,16 @@ pub struct LossMonitor {
     policy: DivergencePolicy,
     best: Option<f32>,
     bad_streak: usize,
-    epochs: usize,
 }
 
 impl LossMonitor {
     /// Creates a monitor with the given policy.
     pub fn new(policy: DivergencePolicy) -> Self {
-        Self { policy, best: None, bad_streak: 0, epochs: 0 }
-    }
-
-    /// Creates a monitor with [`DivergencePolicy::default`].
-    pub fn with_defaults() -> Self {
-        Self::new(DivergencePolicy::default())
+        Self { policy, best: None, bad_streak: 0 }
     }
 
     /// Feeds one epoch's loss and returns the verdict.
     pub fn observe(&mut self, loss: f32) -> LossVerdict {
-        self.epochs += 1;
         if !loss.is_finite() {
             return LossVerdict::NonFinite;
         }
@@ -102,11 +95,6 @@ impl LossMonitor {
     pub fn best_loss(&self) -> Option<f32> {
         self.best
     }
-
-    /// Number of epochs observed.
-    pub fn epochs_observed(&self) -> usize {
-        self.epochs
-    }
 }
 
 #[cfg(test)]
@@ -115,18 +103,17 @@ mod tests {
 
     #[test]
     fn healthy_decreasing_curve() {
-        let mut m = LossMonitor::with_defaults();
+        let mut m = LossMonitor::new(DivergencePolicy::default());
         for i in 0..50 {
             let loss = 1.0 / (1.0 + i as f32);
             assert_eq!(m.observe(loss), LossVerdict::Healthy);
         }
         assert!(m.best_loss().unwrap() < 0.03);
-        assert_eq!(m.epochs_observed(), 50);
     }
 
     #[test]
     fn nan_detected_immediately() {
-        let mut m = LossMonitor::with_defaults();
+        let mut m = LossMonitor::new(DivergencePolicy::default());
         assert_eq!(m.observe(0.5), LossVerdict::Healthy);
         assert_eq!(m.observe(f32::NAN), LossVerdict::NonFinite);
         assert_eq!(m.observe(f32::INFINITY), LossVerdict::NonFinite);

@@ -92,7 +92,7 @@ pub fn hadamard(x: &[f32], y: &[f32]) -> Vec<f32> {
 
 /// Squared Euclidean norm `‖x‖²`.
 #[inline]
-pub fn norm_sq(x: &[f32]) -> f32 {
+pub(crate) fn norm_sq(x: &[f32]) -> f32 {
     dot(x, x)
 }
 
@@ -100,12 +100,6 @@ pub fn norm_sq(x: &[f32]) -> f32 {
 #[inline]
 pub fn norm(x: &[f32]) -> f32 {
     norm_sq(x).sqrt()
-}
-
-/// L1 norm `Σ|xᵢ|`.
-#[inline]
-pub fn norm_l1(x: &[f32]) -> f32 {
-    x.iter().map(|v| v.abs()).sum()
 }
 
 /// Squared Euclidean distance `‖x − y‖²`.
@@ -223,13 +217,6 @@ pub fn softmax_backward(p: &[f32], dl_dp: &[f32]) -> Vec<f32> {
     p.iter().zip(dl_dp.iter()).map(|(pi, gi)| pi * (gi - inner)).collect()
 }
 
-/// Whether every element is finite (no NaN, no ±∞). `true` for an empty
-/// slice.
-#[inline]
-pub fn all_finite(x: &[f32]) -> bool {
-    x.iter().all(|v| v.is_finite())
-}
-
 /// Returns `x` when it is finite, else `default`.
 ///
 /// The workspace convention for optionally-present numeric fields (e.g.
@@ -243,50 +230,6 @@ pub fn finite_or(x: f32, default: f32) -> f32 {
     } else {
         default
     }
-}
-
-/// Clips `x` to the Euclidean ball of radius `max_norm` in place and
-/// returns `true` when clipping happened — the standard gradient-clipping
-/// guard against exploding updates. Non-finite inputs are zeroed first
-/// (a non-finite gradient carries no usable direction), which also counts
-/// as clipping.
-pub fn clip_norm(x: &mut [f32], max_norm: f32) -> bool {
-    let mut cleaned = false;
-    if !all_finite(x) {
-        for v in x.iter_mut() {
-            if !v.is_finite() {
-                *v = 0.0;
-            }
-        }
-        cleaned = true;
-    }
-    let n = norm(x);
-    if n > max_norm {
-        scale(x, max_norm / n);
-        return true;
-    }
-    cleaned
-}
-
-/// Mean of a slice; `0.0` for an empty slice.
-pub fn mean(x: &[f32]) -> f32 {
-    if x.is_empty() {
-        0.0
-    } else {
-        x.iter().sum::<f32>() / x.len() as f32
-    }
-}
-
-/// Index of the maximum element; `None` for an empty slice.
-/// Ties resolve to the first maximal index.
-pub fn argmax(x: &[f32]) -> Option<usize> {
-    x.iter()
-        .enumerate()
-        .fold(None, |best, (i, &v)| match best {
-            Some((_, bv)) if bv >= v => best,
-            _ => Some((i, v)),
-        })
-        .map(|(i, _)| i)
 }
 
 /// Indices of the `k` largest elements, in descending order of value.
@@ -480,36 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn all_finite_flags_nan_and_inf() {
-        assert!(all_finite(&[]));
-        assert!(all_finite(&[1.0, -2.0, 0.0]));
-        assert!(!all_finite(&[1.0, f32::NAN]));
-        assert!(!all_finite(&[f32::INFINITY]));
-        assert!(!all_finite(&[f32::NEG_INFINITY, 0.0]));
-    }
-
-    #[test]
     fn finite_or_maps_sentinels() {
         assert_eq!(finite_or(2.5, 1.0), 2.5);
         assert_eq!(finite_or(f32::NAN, 1.0), 1.0);
         assert_eq!(finite_or(f32::INFINITY, -3.0), -3.0);
-    }
-
-    #[test]
-    fn clip_norm_shrinks_and_reports() {
-        let mut x = vec![3.0, 4.0];
-        assert!(clip_norm(&mut x, 1.0));
-        assert!((norm(&x) - 1.0).abs() < 1e-6);
-        let mut y = vec![0.1, 0.1];
-        assert!(!clip_norm(&mut y, 1.0));
-        assert_eq!(y, vec![0.1, 0.1]);
-    }
-
-    #[test]
-    fn clip_norm_zeroes_non_finite() {
-        let mut x = vec![f32::NAN, 3.0, f32::INFINITY];
-        assert!(clip_norm(&mut x, 10.0));
-        assert_eq!(x, vec![0.0, 3.0, 0.0]);
     }
 
     #[test]
@@ -590,11 +507,5 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn add_into_mismatch_panics() {
         add_into(&[1.0], &[1.0], &mut [0.0, 0.0]);
-    }
-
-    #[test]
-    fn argmax_empty_none() {
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[1.0, 5.0, 2.0]), Some(1));
     }
 }

@@ -59,11 +59,6 @@ impl BprMf {
         Self::new(BprMfConfig::default())
     }
 
-    /// The learned user factors (available after `fit`).
-    pub fn user_factors(&self) -> &EmbeddingTable {
-        &self.users
-    }
-
     /// The learned item factors (available after `fit`).
     pub fn item_factors(&self) -> &EmbeddingTable {
         &self.items

@@ -9,7 +9,7 @@ use rand::Rng;
 /// # Panics
 /// Panics when the method is not in the survey's table — implemented
 /// methods must stay in sync with the taxonomy.
-pub fn taxonomy_of(method: &str) -> Taxonomy {
+pub(crate) fn taxonomy_of(method: &str) -> Taxonomy {
     table3()
         .into_iter()
         .find(|t| t.method == method)
@@ -17,7 +17,7 @@ pub fn taxonomy_of(method: &str) -> Taxonomy {
 }
 
 /// Taxonomy stub for the KG-free baselines (not part of Table 3).
-pub fn baseline_taxonomy(method: &'static str) -> Taxonomy {
+pub(crate) fn baseline_taxonomy(method: &'static str) -> Taxonomy {
     Taxonomy {
         method,
         venue: "baseline",
@@ -30,7 +30,7 @@ pub fn baseline_taxonomy(method: &'static str) -> Taxonomy {
 
 /// Samples a uniformly random observed `(user, item)` training pair.
 /// Returns `None` for an empty matrix.
-pub fn sample_observed<R: Rng + ?Sized>(
+pub(crate) fn sample_observed<R: Rng + ?Sized>(
     train: &InteractionMatrix,
     rng: &mut R,
 ) -> Option<(UserId, kgrec_data::ItemId)> {
@@ -46,16 +46,6 @@ pub fn sample_observed<R: Rng + ?Sized>(
     let u = offsets.partition_point(|&o| o as usize <= k) - 1;
     let user = UserId(u as u32);
     Some((user, train.items_of(user)[k - offsets[u] as usize]))
-}
-
-/// Returns the epoch count scaled so that total SGD steps stay roughly
-/// constant across dataset sizes: `ceil(base_steps / interactions)`,
-/// clamped to `[1, max_epochs]`.
-pub fn scaled_epochs(base_steps: usize, interactions: usize, max_epochs: usize) -> usize {
-    if interactions == 0 {
-        return 1;
-    }
-    (base_steps.div_ceil(interactions)).clamp(1, max_epochs)
 }
 
 #[cfg(test)]
@@ -160,13 +150,5 @@ mod tests {
         let m = InteractionMatrix::from_interactions(1, 1, &[]);
         let mut rng = StdRng::seed_from_u64(2);
         assert!(sample_observed(&m, &mut rng).is_none());
-    }
-
-    #[test]
-    fn scaled_epochs_clamps() {
-        assert_eq!(scaled_epochs(1000, 100, 50), 10);
-        assert_eq!(scaled_epochs(1000, 10, 5), 5);
-        assert_eq!(scaled_epochs(10, 1000, 50), 1);
-        assert_eq!(scaled_epochs(10, 0, 50), 1);
     }
 }

@@ -52,7 +52,7 @@ struct Fitted {
 
 impl Cfkg {
     /// Creates an unfitted model.
-    pub fn new(config: CfkgConfig) -> Self {
+    pub(crate) fn new(config: CfkgConfig) -> Self {
         Self { config, state: None }
     }
 

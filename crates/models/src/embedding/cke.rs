@@ -25,7 +25,7 @@ use rand::SeedableRng;
 
 /// CKE hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct CkeConfig {
+pub(crate) struct CkeConfig {
     /// Latent dimension (shared by CF offsets and TransR entity space).
     pub dim: usize,
     /// Joint-training epochs.
@@ -58,7 +58,7 @@ impl Default for CkeConfig {
 
 /// The CKE model.
 #[derive(Debug)]
-pub struct Cke {
+pub(crate) struct Cke {
     /// Hyper-parameters.
     pub config: CkeConfig,
     users: EmbeddingTable,
@@ -69,7 +69,7 @@ pub struct Cke {
 
 impl Cke {
     /// Creates an unfitted model.
-    pub fn new(config: CkeConfig) -> Self {
+    pub(crate) fn new(config: CkeConfig) -> Self {
         Self {
             config,
             users: EmbeddingTable::zeros(0, 1),
@@ -80,7 +80,7 @@ impl Cke {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(CkeConfig::default())
     }
 

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 /// entity2rec hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct Entity2RecConfig {
+pub(crate) struct Entity2RecConfig {
     /// Skip-gram embedding dimension.
     pub dim: usize,
     /// Ranker training epochs.
@@ -40,7 +40,7 @@ impl Default for Entity2RecConfig {
 
 /// The entity2rec model.
 #[derive(Debug)]
-pub struct Entity2Rec {
+pub(crate) struct Entity2Rec {
     /// Hyper-parameters.
     pub config: Entity2RecConfig,
     /// One embedding space per property (relation).
@@ -58,7 +58,7 @@ pub struct Entity2Rec {
 
 impl Entity2Rec {
     /// Creates an unfitted model.
-    pub fn new(config: Entity2RecConfig) -> Self {
+    pub(crate) fn new(config: Entity2RecConfig) -> Self {
         Self {
             config,
             property_embeddings: Vec::new(),
@@ -74,7 +74,7 @@ impl Entity2Rec {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(Entity2RecConfig::default())
     }
 

@@ -111,7 +111,7 @@ impl std::fmt::Debug for KgeRecommender {
 
 impl KgeRecommender {
     /// Creates an unfitted model.
-    pub fn new(config: KgeRecommenderConfig) -> Self {
+    pub(crate) fn new(config: KgeRecommenderConfig) -> Self {
         Self { config, state: None, checkpoint_dir: None }
     }
 
@@ -119,11 +119,6 @@ impl KgeRecommender {
     /// hyper-parameters.
     pub fn with_backend(backend: KgeBackend) -> Self {
         Self::new(KgeRecommenderConfig { backend, ..Default::default() })
-    }
-
-    /// The backend label (e.g. for ablation tables).
-    pub fn backend_label(&self) -> &'static str {
-        self.config.backend.label()
     }
 }
 
@@ -285,7 +280,7 @@ mod tests {
         let ctx = TrainContext::new(&synth.dataset, &split.train);
         let mut m = KgeRecommender::with_backend(KgeBackend::TransE);
         m.fit(&ctx).unwrap();
-        assert_eq!(m.backend_label(), "TransE");
+        assert_eq!(m.config.backend.label(), "TransE");
         assert!(m.score(UserId(0), ItemId(0)).is_finite());
     }
 }

@@ -22,7 +22,7 @@ use rand::SeedableRng;
 
 /// KTUP hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct KtupConfig {
+pub(crate) struct KtupConfig {
     /// Latent dimension.
     pub dim: usize,
     /// Number of latent preference vectors (the paper ties this to the
@@ -56,7 +56,7 @@ impl Default for KtupConfig {
 
 /// The KTUP model.
 #[derive(Debug)]
-pub struct Ktup {
+pub(crate) struct Ktup {
     /// Hyper-parameters.
     pub config: KtupConfig,
     users: EmbeddingTable,
@@ -72,7 +72,7 @@ pub struct Ktup {
 
 impl Ktup {
     /// Creates an unfitted model.
-    pub fn new(config: KtupConfig) -> Self {
+    pub(crate) fn new(config: KtupConfig) -> Self {
         Self {
             config,
             users: EmbeddingTable::zeros(0, 1),
@@ -85,7 +85,7 @@ impl Ktup {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(KtupConfig::default())
     }
 

@@ -27,7 +27,7 @@ use rand::SeedableRng;
 
 /// MKR hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct MkrConfig {
+pub(crate) struct MkrConfig {
     /// Latent dimension.
     pub dim: usize,
     /// Training epochs.
@@ -91,7 +91,7 @@ impl CrossUnit {
 
 /// The MKR model.
 #[derive(Debug)]
-pub struct Mkr {
+pub(crate) struct Mkr {
     /// Hyper-parameters.
     pub config: MkrConfig,
     users: EmbeddingTable,
@@ -106,7 +106,7 @@ pub struct Mkr {
 
 impl Mkr {
     /// Creates an unfitted model.
-    pub fn new(config: MkrConfig) -> Self {
+    pub(crate) fn new(config: MkrConfig) -> Self {
         Self {
             config,
             users: EmbeddingTable::zeros(0, 1),
@@ -120,7 +120,7 @@ impl Mkr {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(MkrConfig::default())
     }
 

@@ -12,11 +12,11 @@ mod rcf;
 mod shine;
 
 pub use cfkg::{Cfkg, CfkgConfig};
-pub use cke::{Cke, CkeConfig};
+pub(crate) use cke::Cke;
 pub use dkn::{DknConfig, DknLite};
-pub use entity2rec::{Entity2Rec, Entity2RecConfig};
+pub(crate) use entity2rec::Entity2Rec;
 pub use kge_rec::{KgeBackend, KgeRecommender, KgeRecommenderConfig};
-pub use ktup::{Ktup, KtupConfig};
-pub use mkr::{Mkr, MkrConfig};
-pub use rcf::{Rcf, RcfConfig};
-pub use shine::{Shine, ShineConfig};
+pub(crate) use ktup::Ktup;
+pub(crate) use mkr::Mkr;
+pub(crate) use rcf::Rcf;
+pub(crate) use shine::Shine;

@@ -27,7 +27,7 @@ use rand::SeedableRng;
 
 /// RCF-lite hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct RcfConfig {
+pub(crate) struct RcfConfig {
     /// Latent dimension.
     pub dim: usize,
     /// Training epochs.
@@ -60,7 +60,7 @@ impl Default for RcfConfig {
 
 /// The RCF-lite model.
 #[derive(Debug)]
-pub struct Rcf {
+pub(crate) struct Rcf {
     /// Hyper-parameters.
     pub config: RcfConfig,
     users: EmbeddingTable,
@@ -76,7 +76,7 @@ pub struct Rcf {
 
 impl Rcf {
     /// Creates an unfitted model.
-    pub fn new(config: RcfConfig) -> Self {
+    pub(crate) fn new(config: RcfConfig) -> Self {
         Self {
             config,
             users: EmbeddingTable::zeros(0, 1),
@@ -90,7 +90,7 @@ impl Rcf {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(RcfConfig::default())
     }
 

@@ -43,7 +43,7 @@ const SUB: usize = 32;
 
 /// SHINE-lite hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct ShineConfig {
+pub(crate) struct ShineConfig {
     /// Embedding dimension.
     pub dim: usize,
     /// Training epochs.
@@ -238,7 +238,7 @@ impl ChannelSet {
 
 /// The SHINE-lite model.
 #[derive(Debug)]
-pub struct Shine {
+pub(crate) struct Shine {
     /// Hyper-parameters.
     pub config: ShineConfig,
     sentiment_user: Option<Channel>,
@@ -250,7 +250,7 @@ pub struct Shine {
 
 impl Shine {
     /// Creates an unfitted model.
-    pub fn new(config: ShineConfig) -> Self {
+    pub(crate) fn new(config: ShineConfig) -> Self {
         Self {
             config,
             sentiment_user: None,
@@ -262,7 +262,7 @@ impl Shine {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(ShineConfig::default())
     }
 

@@ -5,9 +5,12 @@
 //! | family | models |
 //! |---|---|
 //! | baselines (KG-free) | [`baselines::MostPop`], [`baselines::ItemKnn`], [`baselines::BprMf`] |
-//! | embedding-based | [`embedding::Cke`], [`embedding::Cfkg`], [`embedding::Mkr`], [`embedding::Ktup`], [`embedding::DknLite`], [`embedding::Entity2Rec`] |
-//! | path-based | [`pathbased::HeteMf`], [`pathbased::HeteCf`], [`pathbased::HeteRec`], [`pathbased::SemRec`], [`pathbased::FmgLite`], [`pathbased::Rkge`], [`pathbased::PgprLite`], [`pathbased::McRecLite`] |
-//! | unified | [`unified::RippleNet`], [`unified::Kgcn`], [`unified::Kgat`], [`unified::AkupmLite`] |
+//! | embedding-based | `embedding::Cke`, [`embedding::Cfkg`], `embedding::Mkr`, `embedding::Ktup`, [`embedding::DknLite`], `embedding::Entity2Rec` |
+//! | path-based | `pathbased::HeteMf`, `pathbased::HeteCf`, `pathbased::HeteRec`, `pathbased::SemRec`, `pathbased::FmgLite`, `pathbased::Rkge`, `pathbased::PgprLite`, `pathbased::McRecLite` |
+//! | unified | [`unified::RippleNet`], [`unified::Kgcn`], `unified::Kgat`, [`unified::AkupmLite`] |
+//!
+//! The models shown without a link are crate-private: code outside this
+//! crate reaches them through [`registry::all_models`].
 //!
 //! Every model implements [`kgrec_core::Recommender`], carries its Table 3
 //! [`kgrec_core::Taxonomy`], trains with hand-derived gradients, and is
@@ -22,9 +25,9 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod baselines;
-pub mod common;
+mod common;
 pub mod embedding;
-pub mod pathbased;
+mod pathbased;
 mod persist;
 pub mod registry;
 pub mod unified;

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 /// FMG-lite hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct FmgLiteConfig {
+pub(crate) struct FmgLiteConfig {
     /// MF rank per meta-graph.
     pub rank: usize,
     /// MF epochs.
@@ -50,7 +50,7 @@ struct GraphFactors {
 
 /// The FMG-lite model.
 #[derive(Debug)]
-pub struct FmgLite {
+pub(crate) struct FmgLite {
     /// Hyper-parameters.
     pub config: FmgLiteConfig,
     factors: Vec<GraphFactors>,
@@ -63,7 +63,7 @@ pub struct FmgLite {
 
 impl FmgLite {
     /// Creates an unfitted model.
-    pub fn new(config: FmgLiteConfig) -> Self {
+    pub(crate) fn new(config: FmgLiteConfig) -> Self {
         Self {
             config,
             factors: Vec::new(),
@@ -75,7 +75,7 @@ impl FmgLite {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(FmgLiteConfig::default())
     }
 

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 /// HERec-lite hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct HeRecConfig {
+pub(crate) struct HeRecConfig {
     /// Skip-gram / MF dimension.
     pub dim: usize,
     /// Joint training epochs.
@@ -42,7 +42,7 @@ impl Default for HeRecConfig {
 
 /// The HERec-lite model.
 #[derive(Debug)]
-pub struct HeRec {
+pub(crate) struct HeRec {
     /// Hyper-parameters.
     pub config: HeRecConfig,
     /// Per meta-path: frozen (user-entity, item-entity) embedding tables.
@@ -58,7 +58,7 @@ pub struct HeRec {
 
 impl HeRec {
     /// Creates an unfitted model.
-    pub fn new(config: HeRecConfig) -> Self {
+    pub(crate) fn new(config: HeRecConfig) -> Self {
         Self {
             config,
             path_embeddings: Vec::new(),
@@ -71,7 +71,7 @@ impl HeRec {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(HeRecConfig::default())
     }
 

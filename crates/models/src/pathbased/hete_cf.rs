@@ -19,7 +19,7 @@ use rand::SeedableRng;
 
 /// Hete-CF hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct HeteCfConfig {
+pub(crate) struct HeteCfConfig {
     /// Latent dimension.
     pub dim: usize,
     /// Epochs.
@@ -52,7 +52,7 @@ impl Default for HeteCfConfig {
 
 /// The Hete-CF model.
 #[derive(Debug)]
-pub struct HeteCf {
+pub(crate) struct HeteCf {
     /// Hyper-parameters.
     pub config: HeteCfConfig,
     users: EmbeddingTable,
@@ -65,7 +65,7 @@ pub struct HeteCf {
 
 impl HeteCf {
     /// Creates an unfitted model.
-    pub fn new(config: HeteCfConfig) -> Self {
+    pub(crate) fn new(config: HeteCfConfig) -> Self {
         Self {
             config,
             users: EmbeddingTable::zeros(0, 1),
@@ -77,7 +77,7 @@ impl HeteCf {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(HeteCfConfig::default())
     }
 }

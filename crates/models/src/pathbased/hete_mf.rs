@@ -18,7 +18,7 @@ use rand::SeedableRng;
 
 /// Hete-MF hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct HeteMfConfig {
+pub(crate) struct HeteMfConfig {
     /// Latent dimension.
     pub dim: usize,
     /// Epochs.
@@ -41,7 +41,7 @@ impl Default for HeteMfConfig {
 
 /// The Hete-MF model.
 #[derive(Debug)]
-pub struct HeteMf {
+pub(crate) struct HeteMf {
     /// Hyper-parameters.
     pub config: HeteMfConfig,
     users: EmbeddingTable,
@@ -51,7 +51,7 @@ pub struct HeteMf {
 
 impl HeteMf {
     /// Creates an unfitted model.
-    pub fn new(config: HeteMfConfig) -> Self {
+    pub(crate) fn new(config: HeteMfConfig) -> Self {
         Self {
             config,
             users: EmbeddingTable::zeros(0, 1),
@@ -61,13 +61,8 @@ impl HeteMf {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(HeteMfConfig::default())
-    }
-
-    /// Number of meta-paths in use (after `fit`).
-    pub fn num_metapaths(&self) -> usize {
-        self.sims.len()
     }
 }
 
@@ -183,7 +178,7 @@ mod tests {
         let mut m = HeteMf::new(HeteMfConfig { epochs: 1, ..Default::default() });
         m.fit(&TrainContext::new(&synth.dataset, &split.train)).unwrap();
         // tiny has genre + maker relations.
-        assert_eq!(m.num_metapaths(), 2);
+        assert_eq!(m.sims.len(), 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 /// HeteRec hyper-parameters (shared by HeteRec-p).
 #[derive(Debug, Clone)]
-pub struct HeteRecConfig {
+pub(crate) struct HeteRecConfig {
     /// NMF rank per meta-path.
     pub rank: usize,
     /// NMF epochs.
@@ -174,7 +174,7 @@ fn learn_weights(
 
 /// The HeteRec model (global weights, survey Eq. 17).
 #[derive(Debug)]
-pub struct HeteRec {
+pub(crate) struct HeteRec {
     /// Hyper-parameters.
     pub config: HeteRecConfig,
     factors: Vec<PathFactors>,
@@ -184,18 +184,13 @@ pub struct HeteRec {
 
 impl HeteRec {
     /// Creates an unfitted model.
-    pub fn new(config: HeteRecConfig) -> Self {
+    pub(crate) fn new(config: HeteRecConfig) -> Self {
         Self { config, factors: Vec::new(), theta: Vec::new(), num_items: 0 }
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(HeteRecConfig::default())
-    }
-
-    /// The learned path weights (after `fit`).
-    pub fn path_weights(&self) -> &[f32] {
-        &self.theta
     }
 }
 
@@ -231,7 +226,7 @@ impl Recommender for HeteRec {
 
 /// The HeteRec-p model (per-cluster weights, survey Eq. 18).
 #[derive(Debug)]
-pub struct HeteRecP {
+pub(crate) struct HeteRecP {
     /// Hyper-parameters.
     pub config: HeteRecConfig,
     factors: Vec<PathFactors>,
@@ -246,7 +241,7 @@ pub struct HeteRecP {
 
 impl HeteRecP {
     /// Creates an unfitted model.
-    pub fn new(config: HeteRecConfig) -> Self {
+    pub(crate) fn new(config: HeteRecConfig) -> Self {
         Self {
             config,
             factors: Vec::new(),
@@ -258,7 +253,7 @@ impl HeteRecP {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(HeteRecConfig::default())
     }
 
@@ -434,9 +429,9 @@ mod tests {
         let mut m = HeteRec::default_config();
         m.fit(&TrainContext::new(&synth.dataset, &split.train)).unwrap();
         // 1 collaborative + 2 attribute paths for tiny.
-        assert_eq!(m.path_weights().len(), 3);
+        assert_eq!(m.theta.len(), 3);
         // Weights moved away from the uniform initialization.
         let uniform = 1.0 / 3.0;
-        assert!(m.path_weights().iter().any(|&t| (t - uniform).abs() > 1e-4));
+        assert!(m.theta.iter().any(|&t| (t - uniform).abs() > 1e-4));
     }
 }

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 
 /// MCRec-lite hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct McRecLiteConfig {
+pub(crate) struct McRecLiteConfig {
     /// Embedding dimension.
     pub dim: usize,
     /// Maximum path hops.
@@ -53,7 +53,7 @@ impl Default for McRecLiteConfig {
 
 /// The MCRec-lite model.
 #[derive(Debug)]
-pub struct McRecLite {
+pub(crate) struct McRecLite {
     /// Hyper-parameters.
     pub config: McRecLiteConfig,
     users: EmbeddingTable,
@@ -74,7 +74,7 @@ struct Forward {
 
 impl McRecLite {
     /// Creates an unfitted model.
-    pub fn new(config: McRecLiteConfig) -> Self {
+    pub(crate) fn new(config: McRecLiteConfig) -> Self {
         Self {
             config,
             users: EmbeddingTable::zeros(0, 1),
@@ -86,7 +86,7 @@ impl McRecLite {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(McRecLiteConfig::default())
     }
 

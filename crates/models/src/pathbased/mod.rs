@@ -11,15 +11,15 @@ mod pgpr;
 mod proppr;
 mod rkge;
 mod semrec;
-pub mod util;
+pub(crate) mod util;
 
-pub use fmg::{FmgLite, FmgLiteConfig};
-pub use herec::{HeRec, HeRecConfig};
-pub use hete_cf::{HeteCf, HeteCfConfig};
-pub use hete_mf::{HeteMf, HeteMfConfig};
-pub use heterec::{HeteRec, HeteRecConfig, HeteRecP};
-pub use mcrec::{McRecLite, McRecLiteConfig};
-pub use pgpr::{PgprLite, PgprLiteConfig};
-pub use proppr::{ProPpr, ProPprConfig};
-pub use rkge::{Rkge, RkgeConfig};
-pub use semrec::{SemRec, SemRecConfig};
+pub(crate) use fmg::FmgLite;
+pub(crate) use herec::HeRec;
+pub(crate) use hete_cf::HeteCf;
+pub(crate) use hete_mf::HeteMf;
+pub(crate) use heterec::{HeteRec, HeteRecP};
+pub(crate) use mcrec::McRecLite;
+pub(crate) use pgpr::PgprLite;
+pub(crate) use proppr::ProPpr;
+pub(crate) use rkge::Rkge;
+pub(crate) use semrec::SemRec;

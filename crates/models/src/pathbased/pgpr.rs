@@ -24,7 +24,7 @@ use rand::SeedableRng;
 
 /// PGPR-lite hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct PgprLiteConfig {
+pub(crate) struct PgprLiteConfig {
     /// TransE embedding dimension.
     pub dim: usize,
     /// Rollout horizon `T`.
@@ -57,7 +57,7 @@ impl Default for PgprLiteConfig {
 
 /// The PGPR-lite model.
 #[derive(Debug)]
-pub struct PgprLite {
+pub(crate) struct PgprLite {
     /// Hyper-parameters.
     pub config: PgprLiteConfig,
     /// Dense per-user item scores from evaluation rollouts.
@@ -88,19 +88,13 @@ impl PolicyState {
 
 impl PgprLite {
     /// Creates an unfitted model.
-    pub fn new(config: PgprLiteConfig) -> Self {
+    pub(crate) fn new(config: PgprLiteConfig) -> Self {
         Self { config, scores: Vec::new(), best_paths: Vec::new(), num_items: 0 }
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(PgprLiteConfig::default())
-    }
-
-    /// The reasoning path behind a recommendation, when the agent found
-    /// one (PGPR's interpretability output).
-    pub fn reasoning_path(&self, user: UserId, item: ItemId) -> Option<&Path> {
-        self.best_paths[user.index()][item.index()].as_ref()
     }
 }
 
@@ -302,7 +296,7 @@ mod tests {
         let mut found = false;
         for u in 0..synth.dataset.interactions.num_users() {
             for i in 0..synth.dataset.interactions.num_items() {
-                if let Some(p) = m.reasoning_path(UserId(u as u32), ItemId(i as u32)) {
+                if let Some(p) = m.best_paths[u][i].as_ref() {
                     found = true;
                     assert!(!p.is_empty() && p.len() <= m.config.horizon);
                 }

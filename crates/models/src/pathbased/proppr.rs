@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 /// ProPPR-lite hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct ProPprConfig {
+pub(crate) struct ProPprConfig {
     /// Restart probability of the walk.
     pub restart: f32,
     /// Power-iteration steps.
@@ -42,7 +42,7 @@ impl Default for ProPprConfig {
 
 /// The ProPPR-lite model.
 #[derive(Debug)]
-pub struct ProPpr {
+pub(crate) struct ProPpr {
     /// Hyper-parameters.
     pub config: ProPprConfig,
     /// Learned per-relation rule weights (softplus-positive parameters).
@@ -54,23 +54,13 @@ pub struct ProPpr {
 
 impl ProPpr {
     /// Creates an unfitted model.
-    pub fn new(config: ProPprConfig) -> Self {
+    pub(crate) fn new(config: ProPprConfig) -> Self {
         Self { config, rule_params: Vec::new(), scores: Vec::new(), num_items: 0 }
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(ProPprConfig::default())
-    }
-
-    /// The positive rule weight of a relation.
-    fn rule_weight(&self, r: usize) -> f32 {
-        vector::softplus(self.rule_params[r])
-    }
-
-    /// The learned rule weights, by relation id (after `fit`).
-    pub fn rule_weights(&self) -> Vec<f32> {
-        (0..self.rule_params.len()).map(|r| self.rule_weight(r)).collect()
     }
 
     /// Personalized PageRank mass over all entities from one user, using
@@ -253,6 +243,6 @@ mod tests {
         let split = ratio_split(&synth.dataset.interactions, 0.2, 1);
         let mut m = ProPpr::new(ProPprConfig { weight_epochs: 2, ..Default::default() });
         m.fit(&TrainContext::new(&synth.dataset, &split.train)).unwrap();
-        assert!(m.rule_weights().iter().all(|&w| w > 0.0));
+        assert!(m.rule_params.iter().all(|&p| vector::softplus(p) > 0.0));
     }
 }

@@ -26,7 +26,7 @@ use rand::SeedableRng;
 
 /// RKGE hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct RkgeConfig {
+pub(crate) struct RkgeConfig {
     /// Embedding / hidden dimension.
     pub dim: usize,
     /// Maximum path length (hops).
@@ -59,7 +59,7 @@ impl Default for RkgeConfig {
 
 /// The RKGE model.
 #[derive(Debug)]
-pub struct Rkge {
+pub(crate) struct Rkge {
     /// Hyper-parameters.
     pub config: RkgeConfig,
     entities: EmbeddingTable,
@@ -74,7 +74,7 @@ pub struct Rkge {
 
 impl Rkge {
     /// Creates an unfitted model.
-    pub fn new(config: RkgeConfig) -> Self {
+    pub(crate) fn new(config: RkgeConfig) -> Self {
         Self {
             config,
             entities: EmbeddingTable::zeros(0, 1),
@@ -88,7 +88,7 @@ impl Rkge {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(RkgeConfig::default())
     }
 

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 
 /// SemRec hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct SemRecConfig {
+pub(crate) struct SemRecConfig {
     /// Weight-learning epochs.
     pub weight_epochs: usize,
     /// Learning rate for `θ`.
@@ -39,7 +39,7 @@ impl Default for SemRecConfig {
 
 /// The SemRec model.
 #[derive(Debug)]
-pub struct SemRec {
+pub(crate) struct SemRec {
     /// Hyper-parameters.
     pub config: SemRecConfig,
     /// Per-path truncated user–user similarity.
@@ -50,12 +50,12 @@ pub struct SemRec {
 
 impl SemRec {
     /// Creates an unfitted model.
-    pub fn new(config: SemRecConfig) -> Self {
+    pub(crate) fn new(config: SemRecConfig) -> Self {
         Self { config, user_sims: Vec::new(), theta: Vec::new(), train: None }
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(SemRecConfig::default())
     }
 
@@ -85,11 +85,6 @@ impl SemRec {
         } else {
             0.0
         }
-    }
-
-    /// The learned path weights (after `fit`).
-    pub fn path_weights(&self) -> &[f32] {
-        &self.theta
     }
 }
 
@@ -217,7 +212,7 @@ mod tests {
         let split = ratio_split(&synth.dataset.interactions, 0.2, 1);
         let mut m = SemRec::default_config();
         m.fit(&TrainContext::new(&synth.dataset, &split.train)).unwrap();
-        assert_eq!(m.path_weights().len(), 3); // U-I-U + two attribute paths
-        assert!(m.path_weights().iter().all(|t| t.is_finite()));
+        assert_eq!(m.theta.len(), 3); // U-I-U + two attribute paths
+        assert!(m.theta.iter().all(|t| t.is_finite()));
     }
 }

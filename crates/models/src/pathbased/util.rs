@@ -17,7 +17,7 @@ use kgrec_graph::{EntityId, MetaPath, RelationId};
 ///
 /// These are exactly the path shapes HeteRec/Hete-MF/FMG hand-pick for
 /// their datasets ("movie–actor–movie", "user–movie–user–movie", …).
-pub fn canonical_metapaths(uig: &UserItemGraph) -> Vec<MetaPath> {
+pub(crate) fn canonical_metapaths(uig: &UserItemGraph) -> Vec<MetaPath> {
     let g = &uig.graph;
     let mut out = vec![MetaPath::new(vec![uig.interact, uig.interact_inv, uig.interact])];
     let base = item_kg_base_relations(uig);
@@ -32,7 +32,7 @@ pub fn canonical_metapaths(uig: &UserItemGraph) -> Vec<MetaPath> {
 
 /// The base (non-inverse, non-interact) relations of the item KG inside a
 /// user–item graph.
-pub fn item_kg_base_relations(uig: &UserItemGraph) -> Vec<RelationId> {
+pub(crate) fn item_kg_base_relations(uig: &UserItemGraph) -> Vec<RelationId> {
     let g = &uig.graph;
     (0..g.num_relations() as u32)
         .map(RelationId)
@@ -44,7 +44,7 @@ pub fn item_kg_base_relations(uig: &UserItemGraph) -> Vec<RelationId> {
 }
 
 /// Reverse alignment: entity index → item id, dense over the graph.
-pub fn item_of_entity(uig: &UserItemGraph) -> Vec<Option<ItemId>> {
+pub(crate) fn item_of_entity(uig: &UserItemGraph) -> Vec<Option<ItemId>> {
     let mut map = vec![None; uig.graph.num_entities()];
     for (j, e) in uig.item_entities.iter().enumerate() {
         map[e.index()] = Some(ItemId(j as u32));
@@ -54,19 +54,14 @@ pub fn item_of_entity(uig: &UserItemGraph) -> Vec<Option<ItemId>> {
 
 /// All simple paths from one user to item entities, grouped by item.
 #[derive(Debug, Clone)]
-pub struct UserPathIndex {
+pub(crate) struct UserPathIndex {
     /// `by_item[j]` = the collected paths ending at item `j`.
     pub by_item: Vec<Vec<Path>>,
 }
 
 impl UserPathIndex {
-    /// Total number of collected paths.
-    pub fn total_paths(&self) -> usize {
-        self.by_item.iter().map(Vec::len).sum()
-    }
-
     /// Paths reaching item `j`.
-    pub fn paths_to(&self, item: ItemId) -> &[Path] {
+    pub(crate) fn paths_to(&self, item: ItemId) -> &[Path] {
         &self.by_item[item.index()]
     }
 }
@@ -78,7 +73,7 @@ impl UserPathIndex {
 /// 1-hop `interact` paths (the user's own history items) are *included* —
 /// callers that need novelty filter by item; the path-encoding models
 /// use them as the training signal for positive items.
-pub fn index_user_paths(
+pub(crate) fn index_user_paths(
     uig: &UserItemGraph,
     user: UserId,
     max_hops: usize,
@@ -225,7 +220,7 @@ mod tests {
             assert!(bucket.len() <= 1);
         }
         let idx = index_user_paths(&uig, UserId(0), 3, 10, 1);
-        assert_eq!(idx.total_paths(), 1);
+        assert_eq!(idx.by_item.iter().map(Vec::len).sum::<usize>(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::unified::{Aggregator, AkupmLite, Kgat, Kgcn, KgcnConfig, RippleNet};
 use kgrec_core::Recommender;
 
 /// The KG-free baselines.
-pub fn baseline_models() -> Vec<Box<dyn Recommender>> {
+pub(crate) fn baseline_models() -> Vec<Box<dyn Recommender>> {
     vec![Box::new(MostPop::new()), Box::new(ItemKnn::new(50)), Box::new(BprMf::default_config())]
 }
 
@@ -22,7 +22,7 @@ pub fn baseline_models() -> Vec<Box<dyn Recommender>> {
 ///
 /// `with_text` controls whether DKN (which requires per-item token lists)
 /// is included.
-pub fn embedding_models(with_text: bool) -> Vec<Box<dyn Recommender>> {
+pub(crate) fn embedding_models(with_text: bool) -> Vec<Box<dyn Recommender>> {
     let mut v: Vec<Box<dyn Recommender>> = vec![
         Box::new(Cke::default_config()),
         Box::new(Cfkg::default_config()),
@@ -39,7 +39,7 @@ pub fn embedding_models(with_text: bool) -> Vec<Box<dyn Recommender>> {
 }
 
 /// The path-based methods (survey Section 4.2).
-pub fn pathbased_models() -> Vec<Box<dyn Recommender>> {
+pub(crate) fn pathbased_models() -> Vec<Box<dyn Recommender>> {
     vec![
         Box::new(HeteMf::default_config()),
         Box::new(HeteCf::default_config()),
@@ -56,7 +56,7 @@ pub fn pathbased_models() -> Vec<Box<dyn Recommender>> {
 }
 
 /// The unified methods (survey Section 4.3).
-pub fn unified_models() -> Vec<Box<dyn Recommender>> {
+pub(crate) fn unified_models() -> Vec<Box<dyn Recommender>> {
     vec![
         Box::new(RippleNet::default_config()),
         Box::new(Kgcn::default_config()),

@@ -77,7 +77,7 @@ impl AkupmLite {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(AkupmLiteConfig::default())
     }
 

@@ -58,7 +58,7 @@ impl Default for KgatConfig {
 
 /// The KGAT model.
 #[derive(Debug)]
-pub struct Kgat {
+pub(crate) struct Kgat {
     /// Hyper-parameters.
     pub config: KgatConfig,
     /// Base entity embeddings `e⁰` (the CF-trainable copy).
@@ -75,7 +75,7 @@ pub struct Kgat {
 
 impl Kgat {
     /// Creates an unfitted model.
-    pub fn new(config: KgatConfig) -> Self {
+    pub(crate) fn new(config: KgatConfig) -> Self {
         Self {
             config,
             base: EmbeddingTable::zeros(0, 1),
@@ -89,7 +89,7 @@ impl Kgat {
     }
 
     /// Creates a model with default hyper-parameters.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(KgatConfig::default())
     }
 

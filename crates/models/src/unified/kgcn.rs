@@ -146,7 +146,7 @@ impl Kgcn {
     }
 
     /// Creates a KGCN-LS (label-smoothness regularized) variant.
-    pub fn with_label_smoothness(ls_weight: f32) -> Self {
+    pub(crate) fn with_label_smoothness(ls_weight: f32) -> Self {
         Self::new(KgcnConfig { ls_weight, ..Default::default() })
     }
 

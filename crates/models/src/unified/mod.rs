@@ -7,6 +7,7 @@ mod kgcn;
 mod ripplenet;
 
 pub use akupm::{AkupmLite, AkupmLiteConfig};
-pub use kgat::{Kgat, KgatConfig};
+pub(crate) use kgat::Kgat;
+pub use kgat::KgatConfig;
 pub use kgcn::{Aggregator, Kgcn, KgcnConfig};
 pub use ripplenet::{RippleNet, RippleNetConfig};

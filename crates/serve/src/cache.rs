@@ -76,11 +76,6 @@ impl TopKCache {
         Self { shards: (0..shards).map(|_| make()).collect(), slots_per_shard, k }
     }
 
-    /// Total slot count (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.shards.len() * self.slots_per_shard
-    }
-
     #[inline]
     fn locate(&self, user: UserId) -> (usize, usize) {
         let shard = user.index() % self.shards.len();
@@ -179,6 +174,6 @@ mod tests {
         c.insert(UserId(1), 0, 0, &ids(&[1]));
         let mut out = Vec::new();
         assert!(!c.lookup(UserId(1), 0, 0, &mut out));
-        assert_eq!(c.capacity(), 0);
+        assert_eq!(c.shards.len() * c.slots_per_shard, 0);
     }
 }

@@ -36,7 +36,7 @@ impl ServeIndex {
     ///
     /// # Panics
     /// If an entry of `item_entities` is out of the graph's entity range.
-    pub fn build(graph: KnowledgeGraph, item_entities: Vec<EntityId>) -> Self {
+    pub(crate) fn build(graph: KnowledgeGraph, item_entities: Vec<EntityId>) -> Self {
         let n_ent = graph.num_entities();
         let mut ent_to_item = vec![NOT_AN_ITEM; n_ent];
         for (j, e) in item_entities.iter().enumerate() {
@@ -88,13 +88,13 @@ impl ServeIndex {
 
     /// Graph entity of item `v`.
     #[inline]
-    pub fn entity_of(&self, v: ItemId) -> EntityId {
+    pub(crate) fn entity_of(&self, v: ItemId) -> EntityId {
         self.item_entities[v.index()]
     }
 
     /// O(1) reverse alignment: the item aligned with entity `e`, if any.
     #[inline]
-    pub fn item_of_entity(&self, e: EntityId) -> Option<ItemId> {
+    pub(crate) fn item_of_entity(&self, e: EntityId) -> Option<ItemId> {
         let v = self.ent_to_item[e.index()];
         if v == NOT_AN_ITEM {
             None
@@ -106,7 +106,7 @@ impl ServeIndex {
     /// Items with an out-edge to attribute entity `e` (ascending item
     /// id). Empty for item entities — their edges are walked forward.
     #[inline]
-    pub fn items_with(&self, e: EntityId) -> &[u32] {
+    pub(crate) fn items_with(&self, e: EntityId) -> &[u32] {
         let lo = self.rev_offsets[e.index()] as usize;
         let hi = self.rev_offsets[e.index() + 1] as usize;
         &self.rev_items[lo..hi]

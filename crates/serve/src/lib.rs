@@ -34,11 +34,11 @@
 //!   fails to load, scores non-finite values, or panics is rejected and
 //!   the previous model keeps serving ([`Server::reload`]).
 
-pub mod cache;
-pub mod index;
-pub mod pipeline;
-pub mod scratch;
-pub mod server;
+mod cache;
+mod index;
+mod pipeline;
+mod scratch;
+mod server;
 
 pub use cache::TopKCache;
 pub use index::ServeIndex;

@@ -7,7 +7,7 @@ use crate::pipeline::{candidates_for, rank_candidates, serve_score};
 use crate::scratch::ServeScratch;
 use kgrec_core::supervisor::probe_grid;
 use kgrec_core::FitStatus;
-use kgrec_data::{Interaction, InteractionMatrix, KgDataset, UserId};
+use kgrec_data::{Interaction, InteractionMatrix, ItemId, KgDataset, UserId};
 use kgrec_kge::KgeModel;
 use kgrec_store::{CheckpointStore, Persistable};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,11 +210,16 @@ impl Server {
     }
 
     /// Answers one request: the ranked top-K lands in `scratch`
-    /// ([`ServeScratch::top_k`]). Returns `true` on a cache hit.
+    /// ([`ServeScratch::top_k`]). Returns `true` on a cache hit. A user id
+    /// the server was not sized for gets the popularity slate, uncached.
     ///
     /// Request path (SA008): allocation-free after scratch warm-up.
     pub fn serve(&self, user: UserId, scratch: &mut ServeScratch) -> bool {
-        let user_gen = self.user_gens[user.index()].load(Ordering::Acquire);
+        let Some(user_gen) = self.user_gens.get(user.index()) else {
+            self.compute_fresh(user, scratch);
+            return false;
+        };
+        let user_gen = user_gen.load(Ordering::Acquire);
         let model_gen = self.model_gen.load(Ordering::Acquire);
         if self.cache.lookup(user, user_gen, model_gen, &mut scratch.out) {
             return true;
@@ -226,12 +231,20 @@ impl Server {
 
     /// Runs the full two-stage pipeline, bypassing the cache entirely
     /// (no lookup, no fill). The uncached baseline for benches and the
-    /// reference for staleness tests.
+    /// reference for staleness tests. A user id outside the interaction
+    /// matrix has no history to rank from, so it gets the first `k` items
+    /// of the popularity order.
     pub fn compute_fresh(&self, user: UserId, scratch: &mut ServeScratch) {
         let (interactions, pop_order) = {
             let live = self.live.read().expect("live lock poisoned");
             (Arc::clone(&live.interactions), Arc::clone(&live.pop_order))
         };
+        if user.index() >= interactions.num_users() {
+            scratch.scores.clear();
+            scratch.out.clear();
+            scratch.out.extend(pop_order.iter().take(self.config.k).map(|&v| ItemId(v)));
+            return;
+        }
         let state = Arc::clone(&self.model.read().expect("model lock poisoned"));
         candidates_for(&self.index, &interactions, &pop_order, user, &self.config, scratch);
         rank_candidates(
@@ -383,7 +396,6 @@ pub(crate) fn popularity_order(interactions: &InteractionMatrix) -> Vec<u32> {
 mod tests {
     use super::*;
     use kgrec_data::synth::{generate, ScenarioConfig};
-    use kgrec_data::ItemId;
     use kgrec_kge::TransE;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -418,6 +430,26 @@ mod tests {
             assert!(server.serve(UserId(u), &mut b), "second request for u{u} must hit");
             assert_eq!(a.top_k(), b.top_k(), "cached result diverges for u{u}");
         }
+    }
+
+    #[test]
+    fn unknown_user_gets_the_popularity_slate_uncached() {
+        let server = tiny_server(3, ServeConfig::default());
+        let mut s = server.make_scratch();
+        let pop = popularity_order(&server.interactions());
+        let want: Vec<ItemId> = pop.iter().take(server.config().k).map(|&v| ItemId(v)).collect();
+        for u in [server.num_users(), server.num_users() + 1, u32::MAX as usize] {
+            let user = UserId(u as u32);
+            assert!(!server.serve(user, &mut s), "u{u} must not be served from the cache");
+            assert_eq!(s.top_k(), &want[..], "u{u}");
+            assert!(!server.serve(user, &mut s), "u{u} must not be cached");
+            assert_eq!(s.top_k(), &want[..], "u{u}");
+            server.compute_fresh(user, &mut s);
+            assert_eq!(s.top_k(), &want[..], "u{u}");
+        }
+        // Known users are still served and cached as before.
+        assert!(!server.serve(UserId(0), &mut s));
+        assert!(server.serve(UserId(0), &mut s));
     }
 
     #[test]

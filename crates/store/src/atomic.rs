@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 /// Exposed so the fault injector can simulate a crash that leaves the temp
 /// file behind (torn write) exactly where the writer would have put it.
 #[must_use]
-pub fn temp_path(path: &Path) -> PathBuf {
+pub(crate) fn temp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().map(std::ffi::OsStr::to_os_string).unwrap_or_default();
     name.push(".tmp");
     path.with_file_name(name)

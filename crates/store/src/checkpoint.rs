@@ -28,14 +28,14 @@ use crate::persist::{read_verified, snapshot_bytes, Persistable};
 use crate::snapshot::SnapshotReader;
 use crate::{atomic::write_atomic, crc::crc32};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// File name of the snapshot inside each generation directory.
-pub const SNAPSHOT_FILE: &str = "model.snap";
+pub(crate) const SNAPSHOT_FILE: &str = "model.snap";
 /// File name of the manifest ledger.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 /// File name of the last-good pointer.
-pub const LAST_GOOD_FILE: &str = "LAST_GOOD";
+pub(crate) const LAST_GOOD_FILE: &str = "LAST_GOOD";
 const MANIFEST_HEADER: &str = "kgrec-checkpoint-manifest v1";
 
 /// One manifest ledger entry.
@@ -86,12 +86,6 @@ impl CheckpointStore {
         self
     }
 
-    /// The checkpoint directory root.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the manifest ledger.
     #[must_use]
     pub fn manifest_path(&self) -> PathBuf {
@@ -100,13 +94,13 @@ impl CheckpointStore {
 
     /// Path of the last-good pointer file.
     #[must_use]
-    pub fn last_good_path(&self) -> PathBuf {
+    pub(crate) fn last_good_path(&self) -> PathBuf {
         self.dir.join(LAST_GOOD_FILE)
     }
 
     /// Directory of generation `n`.
     #[must_use]
-    pub fn generation_dir(&self, n: u64) -> PathBuf {
+    pub(crate) fn generation_dir(&self, n: u64) -> PathBuf {
         self.dir.join(format!("gen-{n:06}"))
     }
 

@@ -25,7 +25,7 @@ const TABLE: [u32; 256] = make_table();
 
 /// CRC32 of `bytes` in one shot.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !update(!0, bytes)
 }
 
@@ -34,7 +34,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Start from `!0`, fold in chunks, finish with a final `!`. [`crc32`] does
 /// exactly this for the single-buffer case.
 #[must_use]
-pub fn update(mut state: u32, bytes: &[u8]) -> u32 {
+pub(crate) fn update(mut state: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         let idx = (state ^ u32::from(b)) & 0xFF;
         state = (state >> 8) ^ TABLE[idx as usize];

@@ -76,7 +76,7 @@ pub enum StoreError {
 
 impl StoreError {
     /// Convenience constructor wrapping an I/O error with context.
-    pub fn io(context: impl Into<String>, source: std::io::Error) -> Self {
+    pub(crate) fn io(context: impl Into<String>, source: std::io::Error) -> Self {
         Self::Io { context: context.into(), source }
     }
 }

@@ -4,17 +4,17 @@
 //! embedding tables and model state". This crate provides that layer with
 //! zero external dependencies, consistent with the vendored-offline build:
 //!
-//! * [`snapshot`] — a hand-rolled binary snapshot format: magic + format
+//! * `snapshot` — a hand-rolled binary snapshot format: magic + format
 //!   version + model id + seed + config hash header, a section table, and a
 //!   CRC32 checksum per section. No serde.
 //! * [`atomic`] — atomic file replacement (temp file + fsync + rename +
 //!   parent-directory fsync) so a crash mid-write never leaves a torn file
 //!   where a reader expects a snapshot.
-//! * [`persist`] — the [`Persistable`] trait every checkpointable model
+//! * `persist` — the [`Persistable`] trait every checkpointable model
 //!   implements, plus save/load entry points.
-//! * [`checkpoint`] — a generation-numbered checkpoint directory with a
+//! * `checkpoint` — a generation-numbered checkpoint directory with a
 //!   manifest, a last-good pointer, and retention.
-//! * [`faults`] — a deterministic storage-fault injector in the spirit of
+//! * `faults` — a deterministic storage-fault injector in the spirit of
 //!   `kgrec_data::faults`, used by the recovery-matrix tests and the
 //!   `eval_suite` / `crash_drill` storage drills.
 //!
@@ -24,35 +24,18 @@
 //! still verifies, then to fresh training.
 
 pub mod atomic;
-pub mod checkpoint;
-pub mod crc;
-pub mod error;
-pub mod faults;
-pub mod persist;
-pub mod snapshot;
+mod checkpoint;
+mod crc;
+mod error;
+mod faults;
+mod persist;
+mod snapshot;
 
-pub use checkpoint::{
-    CheckpointStore, GenerationInfo, Recovery, LAST_GOOD_FILE, MANIFEST_FILE, SNAPSHOT_FILE,
-};
+pub use checkpoint::{CheckpointStore, GenerationInfo, Recovery, MANIFEST_FILE};
 pub use error::StoreError;
 pub use faults::{inject_storage, StorageFault};
 pub use persist::{load_snapshot, save_snapshot, Persistable};
 pub use snapshot::{Section, SectionCursor, SnapshotMeta, SnapshotReader, SnapshotWriter};
-
-/// FNV-1a 64-bit hash of a byte string.
-///
-/// Used to fingerprint model configurations inside snapshot headers; the
-/// exact function matters less than it being stable across runs and builds,
-/// which a hand-rolled FNV guarantees (`DefaultHasher` does not).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Hashes a list of config fragments into a single snapshot config hash.
 ///
@@ -83,6 +66,7 @@ mod tests {
     #[test]
     fn fnv1a_known_vectors() {
         // Reference values for FNV-1a 64 from the FNV specification.
+        let fnv1a = |bytes: &[u8]| fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes);
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);

@@ -62,7 +62,7 @@ pub trait Persistable {
 ///
 /// # Errors
 /// Propagates any encoding error from the model's `write_state`.
-pub fn snapshot_bytes(model: &dyn Persistable) -> Result<Vec<u8>, StoreError> {
+pub(crate) fn snapshot_bytes(model: &dyn Persistable) -> Result<Vec<u8>, StoreError> {
     let meta = SnapshotMeta {
         model_id: model.snapshot_id().to_string(),
         seed: model.snapshot_seed(),
@@ -101,7 +101,7 @@ pub fn load_snapshot(path: &Path, model: &mut dyn Persistable) -> Result<Snapsho
 /// # Errors
 /// [`StoreError::ModelMismatch`] on id/config divergence, else whatever
 /// `read_state` reports.
-pub fn read_verified(
+pub(crate) fn read_verified(
     reader: &SnapshotReader,
     model: &mut dyn Persistable,
 ) -> Result<(), StoreError> {

@@ -28,18 +28,17 @@
 //! format bump is reported as [`StoreError::UnsupportedVersion`] rather
 //! than as a decoding artifact.
 
-use crate::atomic::write_atomic;
 use crate::crc::crc32;
 use crate::error::StoreError;
 use std::fs;
 use std::path::Path;
 
 /// Snapshot magic: "KGRS" (KGRec Snapshot).
-pub const MAGIC: [u8; 4] = *b"KGRS";
+pub(crate) const MAGIC: [u8; 4] = *b"KGRS";
 
 /// Highest snapshot format version this build reads and the version it
 /// writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Identity and provenance header carried by every snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,11 +64,6 @@ impl Section {
         Self::default()
     }
 
-    /// Appends a `u32` (LE).
-    pub fn put_u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u64` (LE).
     pub fn put_u64(&mut self, v: u64) {
         self.bytes.extend_from_slice(&v.to_le_bytes());
@@ -90,18 +84,6 @@ impl Section {
             self.bytes.extend_from_slice(&v.to_le_bytes());
         }
     }
-
-    /// Payload length in bytes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the payload is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
 }
 
 /// Builds a snapshot: metadata plus an ordered list of named sections.
@@ -114,7 +96,7 @@ pub struct SnapshotWriter {
 impl SnapshotWriter {
     /// Starts a snapshot for the given metadata header.
     #[must_use]
-    pub fn new(meta: SnapshotMeta) -> Self {
+    pub(crate) fn new(meta: SnapshotMeta) -> Self {
         Self { meta, sections: Vec::new() }
     }
 
@@ -134,7 +116,7 @@ impl SnapshotWriter {
 
     /// Serializes the snapshot to its on-disk byte representation.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut header = Vec::with_capacity(64);
         header.extend_from_slice(&MAGIC);
         header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -156,14 +138,6 @@ impl SnapshotWriter {
             out.extend_from_slice(&section.bytes);
         }
         out
-    }
-
-    /// Serializes and writes the snapshot atomically to `path`.
-    ///
-    /// # Errors
-    /// Propagates [`StoreError::Io`] from the atomic writer.
-    pub fn write_to(&self, path: &Path) -> Result<(), StoreError> {
-        write_atomic(path, &self.to_bytes())
     }
 }
 
@@ -202,7 +176,7 @@ impl SnapshotReader {
     /// # Errors
     /// Any [`StoreError`] integrity variant, depending on which defense
     /// rejected the bytes.
-    pub fn from_bytes(data: Vec<u8>) -> Result<Self, StoreError> {
+    pub(crate) fn from_bytes(data: Vec<u8>) -> Result<Self, StoreError> {
         let (meta, toc) = parse_header(&data)?;
         for entry in &toc {
             let computed = crc32(&data[entry.start..entry.end]);
@@ -222,7 +196,7 @@ impl SnapshotReader {
     /// # Errors
     /// [`StoreError::Io`] if the file cannot be read, otherwise any
     /// integrity error from [`Self::from_bytes`].
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
+    pub(crate) fn open(path: &Path) -> Result<Self, StoreError> {
         let data =
             fs::read(path).map_err(|e| StoreError::io(format!("read {}", path.display()), e))?;
         Self::from_bytes(data)
@@ -230,14 +204,8 @@ impl SnapshotReader {
 
     /// The snapshot's identity header.
     #[must_use]
-    pub fn meta(&self) -> &SnapshotMeta {
+    pub(crate) fn meta(&self) -> &SnapshotMeta {
         &self.meta
-    }
-
-    /// Names of all sections, in file order.
-    #[must_use]
-    pub fn section_names(&self) -> Vec<&str> {
-        self.toc.iter().map(|e| e.name.as_str()).collect()
     }
 
     /// Opens a cursor over a named section's payload.
@@ -283,15 +251,6 @@ impl SectionCursor<'_> {
         Ok(out)
     }
 
-    /// Reads a `u32` (LE).
-    ///
-    /// # Errors
-    /// [`StoreError::Truncated`] on underrun.
-    pub fn take_u32(&mut self) -> Result<u32, StoreError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
     /// Reads a `u64` (LE).
     ///
     /// # Errors
@@ -321,12 +280,6 @@ impl SectionCursor<'_> {
             out.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
         }
         Ok(out)
-    }
-
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
     }
 }
 
@@ -460,14 +413,14 @@ mod tests {
         assert_eq!(r.meta().model_id, "kge.test");
         assert_eq!(r.meta().seed, 42);
         assert_eq!(r.meta().config_hash, 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(r.section_names(), vec!["weights", "hyper"]);
+        assert_eq!(r.toc.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(), ["weights", "hyper"]);
         let mut c = r.section("weights").expect("section");
         assert_eq!(c.take_u64().expect("n"), 3);
         let vs = c.take_f32s(3).expect("f32s");
         assert_eq!(vs[0].to_bits(), 1.0f32.to_bits());
         assert_eq!(vs[1].to_bits(), (-2.5f32).to_bits());
         assert_eq!(vs[2].to_bits(), f32::MIN_POSITIVE.to_bits());
-        assert_eq!(c.remaining(), 0);
+        assert_eq!(c.pos, c.bytes.len(), "section fully consumed");
     }
 
     #[test]

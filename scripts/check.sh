@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== non-test Rust lines (information only, not a gate)"
+echo "   $(scripts/loc.sh)"
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 

@@ -252,3 +252,36 @@ proptest! {
         }
     }
 }
+
+/// Fragments the loader fuzz assembles its input from: field and line
+/// separators, comment markers, digits, the float spellings `parse::<f32>`
+/// accepts or rejects, the inverse-relation suffix, and multi-byte text.
+const LOADER_TOKENS: &[&str] = &[
+    "\t", "\t", "\n", "\n", "\r\n", "#", " ", "0", "1", "2", "7", "9", "-", ".", "e", "nan", "NaN",
+    "inf", "-inf", "1e39", "_inv", "u", "é", "日本", "🦀", "\u{a0}",
+];
+
+fn loader_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..LOADER_TOKENS.len(), 0..80)
+        .prop_map(|picks| picks.into_iter().map(|k| LOADER_TOKENS[k]).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The TSV loader is the path for input from outside the program:
+    /// whatever the text, `parse_interactions` and then `parse_dataset`
+    /// return `Ok` or a `LoadError`, and never panic.
+    #[test]
+    fn loader_never_panics_on_arbitrary_text(ratings in loader_text(), triples in loader_text()) {
+        use kgrec_data::loader::{parse_dataset, parse_interactions};
+        for text in [&ratings, &triples] {
+            let Ok(li) = parse_interactions(text) else { continue };
+            prop_assert_eq!(li.matrix.num_users(), li.user_keys.len());
+            prop_assert_eq!(li.matrix.num_items(), li.item_keys.len());
+            if let Ok(ds) = parse_dataset(&li, &triples) {
+                prop_assert_eq!(ds.item_entities.len(), li.item_keys.len());
+            }
+        }
+    }
+}
