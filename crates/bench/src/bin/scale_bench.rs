@@ -18,7 +18,11 @@
 //! 7. **memory** — peak RSS (`VmHWM`) against a stated budget, and the
 //!    generated store's bytes per row against [`MAX_STORE_BYTES_PER_ROW`]
 //!    (a deterministic layout gate: sentinel-only payload columns must
-//!    not be stored).
+//!    not be stored, and stamps that fit 32 bits are stored in 32).
+//!
+//! Every phase also records the resident set (`VmRSS`) at its end as
+//! `rss_mb`, ungated, so a peak-RSS change points at the phase that
+//! holds the memory.
 //!
 //! Modes: the default `--smoke` runs the 50×-reduced `huge-smoke`
 //! configuration (CI on every push); `--full` runs the real 1M-user
@@ -55,23 +59,27 @@ const BUDGET_SMOKE_MB: u64 = 1024;
 const BUDGET_FULL_MB: u64 = 4096;
 /// Ceiling on `memory_bytes() / rows` of the generated store with its
 /// item-major index built. The `huge` scenarios are implicit with
-/// timestamps, so a row costs its item (4 B), its item-index user (4 B)
-/// and its timestamp (8 B), plus the offset arrays (~0.5 B/row at
-/// `huge-smoke`). A stored all-`NaN` rating column would add 4 B. Until
-/// a reader builds the index, a row costs 4 B less.
-const MAX_STORE_BYTES_PER_ROW: f64 = 17.0;
+/// timestamps below `u32::MAX`, so a row costs its item (4 B), its
+/// item-index user (4 B) and its 32-bit timestamp (4 B), plus the offset
+/// arrays (~0.5 B/row at `huge-smoke`). A stored all-`NaN` rating column
+/// or a 64-bit timestamp column would add 4 B. Until a reader builds the
+/// index, a row costs 4 B less.
+const MAX_STORE_BYTES_PER_ROW: f64 = 13.0;
 
 struct Phase {
     name: &'static str,
     seconds: f64,
     rows: usize,
+    /// Resident set (`VmRSS`, MiB) when the phase ended.
+    rss_mb: Option<u64>,
     /// Extra `key: value` pairs, each value already rendered as JSON.
     detail: Vec<(&'static str, String)>,
 }
 
 impl Phase {
+    /// A finished phase; reads the resident set now.
     fn new(name: &'static str, seconds: f64, rows: usize) -> Self {
-        Self { name, seconds, rows, detail: Vec::new() }
+        Self { name, seconds, rows, rss_mb: status_mb("VmRSS:"), detail: Vec::new() }
     }
 
     /// Appends a detail whose `value` is already rendered as JSON.
@@ -89,10 +97,12 @@ impl Phase {
     }
 }
 
-fn peak_rss_mb() -> Option<u64> {
+/// A `/proc/self/status` memory field (`key` with its colon, e.g.
+/// `"VmHWM:"`) in MiB, where the platform has one.
+fn status_mb(key: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
+        if let Some(rest) = line.strip_prefix(key) {
             let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
             return Some(kb / 1024);
         }
@@ -265,7 +275,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
     // 7. Memory gate.
-    let peak_mb = peak_rss_mb();
+    let peak_mb = status_mb("VmHWM:");
     let within_budget = peak_mb.is_none_or(|mb| mb <= budget_mb);
     match peak_mb {
         Some(mb) => println!(
@@ -296,11 +306,12 @@ fn main() {
     json.push_str("  \"phases\": {\n");
     for (i, p) in phases.iter().enumerate() {
         json.push_str(&format!(
-            "    {}: {{ \"seconds\": {}, \"rows\": {}, \"rows_per_s\": {}",
+            "    {}: {{ \"seconds\": {}, \"rows\": {}, \"rows_per_s\": {}, \"rss_mb\": {}",
             json_str(p.name),
             json_f64(p.seconds),
             p.rows,
-            json_f64(p.rows_per_s())
+            json_f64(p.rows_per_s()),
+            p.rss_mb.map_or_else(|| "null".to_owned(), |m| m.to_string())
         ));
         for (k, v) in &p.detail {
             json.push_str(&format!(", {}: {v}", json_str(k)));

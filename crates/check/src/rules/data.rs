@@ -145,7 +145,8 @@ impl Rule for IdSpaceMismatch {
                         Subject::EvalSet,
                         format!(
                             "pair #{k} (user {}, item {}) outside the {nu}x{ni} id space",
-                            p.user.0, p.item.0
+                            { p.user }.0,
+                            { p.item }.0
                         ),
                     ));
                 }
@@ -196,7 +197,8 @@ impl Rule for NegativeCollisions {
                     Subject::EvalSet,
                     format!(
                         "pair #{k} (user {}, item {}) labeled negative but observed in {wh}",
-                        p.user.0, p.item.0
+                        { p.user }.0,
+                        { p.item }.0
                     ),
                 ));
             }

@@ -280,7 +280,7 @@ fn raw_columns(
         let user = UserId(u as u32);
         items.extend_from_slice(c.items_of(user));
         ratings.extend_from_slice(c.ratings_of(user));
-        timestamps.extend_from_slice(c.timestamps_of(user));
+        timestamps.extend(c.timestamps_of(user).iter());
     }
     let mut i_offsets = vec![0u32; c.num_items() + 1];
     let mut i_users = Vec::new();

@@ -14,10 +14,18 @@
 //! than the sentinel (the `f32::NAN` bit pattern and [`NO_TIMESTAMP`]).
 //! Implicit feedback without event times — the survey's binary `R` —
 //! therefore costs the item column and the offset arrays alone.
-//! [`InteractionMatrix::ratings_of`] and
-//! [`InteractionMatrix::timestamps_of`] serve an absent column as a
-//! prefix of one sentinel run per store, as long as the longest user
-//! history, so readers see the same per-row values either way.
+//! [`InteractionMatrix::ratings_of`] serves an absent column as a prefix
+//! of one sentinel run per store, as long as the longest user history,
+//! so readers see the same per-row values either way.
+//!
+//! Nor does a stamp pay for bits it does not use. The timestamp column
+//! is stored as `u32` (with `u32::MAX` standing for [`NO_TIMESTAMP`])
+//! until some row's stamp needs 64 bits, and as `u64` only then: a store
+//! of event indices or Unix seconds costs 4 bytes a stamp, not 8.
+//! [`InteractionMatrix::timestamps_of`] returns a [`Timestamps`] view
+//! that reads any of the three layouts back as `u64` stamps. The layout
+//! follows from the stored rows alone, so a store grown by `append`
+//! has the layout of its one-shot build.
 //!
 //! The item-major index is paid for only once something reads it. Its
 //! per-item offsets (O(items)) are counted eagerly, because
@@ -49,60 +57,40 @@ use std::sync::OnceLock;
 /// Timestamp sentinel for rows without an event time.
 pub const NO_TIMESTAMP: u64 = u64::MAX;
 
-/// A payload value type with a reserved "no value" encoding.
-trait Sentinel: Copy {
-    /// The "no value" encoding.
-    const SENTINEL: Self;
-
-    /// Whether `self` is exactly the sentinel encoding.
-    fn is_sentinel(self) -> bool;
-}
-
-impl Sentinel for f32 {
-    const SENTINEL: f32 = f32::NAN;
-
-    /// Bitwise: a NaN with any other payload bits is a stored value.
-    fn is_sentinel(self) -> bool {
-        self.to_bits() == f32::NAN.to_bits()
-    }
-}
-
-impl Sentinel for u64 {
-    const SENTINEL: u64 = NO_TIMESTAMP;
-
-    fn is_sentinel(self) -> bool {
-        self == NO_TIMESTAMP
-    }
-}
-
-/// One payload column (`ratings` or `timestamps`), aligned with `items`.
+/// The rating column, aligned with `items`.
 #[derive(Debug, Clone)]
-enum Payload<T> {
-    /// One value per row.
-    Stored(Vec<T>),
-    /// Every row holds the sentinel. `run` is that many sentinels as the
-    /// longest user history, so every history's slice is a prefix of it.
-    /// Only [`ColumnarBuilder::finish`] makes this variant.
-    Absent { run: Vec<T> },
+enum RatingColumn {
+    /// One value per row (`NaN` = implicit).
+    Stored(Vec<f32>),
+    /// Every row is implicit. `run` is that many `NaN`s as the longest
+    /// user history, so every history's slice is a prefix of it. Only
+    /// [`ColumnarBuilder::finish`] makes this variant.
+    Absent { run: Vec<f32> },
 }
 
-impl<T: Sentinel> Payload<T> {
+/// Whether `rating` is exactly the implicit sentinel: bitwise, so a NaN
+/// with any other payload bits is a stored value.
+fn is_implicit(rating: f32) -> bool {
+    rating.to_bits() == f32::NAN.to_bits()
+}
+
+impl RatingColumn {
     /// The column for a store of `max_degree`-long histories, given the
-    /// values the builder materialized (empty: every row was a sentinel).
-    fn from_built(values: Vec<T>, max_degree: usize) -> Self {
+    /// values the builder materialized (empty: every row was implicit).
+    fn from_built(values: Vec<f32>, max_degree: usize) -> Self {
         if values.is_empty() {
-            Payload::Absent { run: vec![T::SENTINEL; max_degree] }
+            RatingColumn::Absent { run: vec![f32::NAN; max_degree] }
         } else {
-            Payload::Stored(values)
+            RatingColumn::Stored(values)
         }
     }
 
     /// The values of the rows in `range`.
     #[inline]
-    fn slice(&self, range: std::ops::Range<usize>) -> &[T] {
+    fn slice(&self, range: std::ops::Range<usize>) -> &[f32] {
         match self {
-            Payload::Stored(values) => &values[range],
-            Payload::Absent { run } => &run[..range.len()],
+            RatingColumn::Stored(values) => &values[range],
+            RatingColumn::Absent { run } => &run[..range.len()],
         }
     }
 
@@ -110,26 +98,140 @@ impl<T: Sentinel> Payload<T> {
     /// `rows` sentinels long).
     fn len(&self, rows: usize) -> usize {
         match self {
-            Payload::Stored(values) => values.len(),
-            Payload::Absent { .. } => rows,
+            RatingColumn::Stored(values) => values.len(),
+            RatingColumn::Absent { .. } => rows,
         }
     }
 
     /// Every row's value, in row order, for a store of `rows` rows.
-    fn values(&self, rows: usize) -> impl Iterator<Item = T> + '_ {
-        let (stored, absent): (&[T], usize) = match self {
-            Payload::Stored(values) => (values, 0),
-            Payload::Absent { .. } => (&[], rows),
+    fn values(&self, rows: usize) -> impl Iterator<Item = f32> + '_ {
+        let (stored, absent): (&[f32], usize) = match self {
+            RatingColumn::Stored(values) => (values, 0),
+            RatingColumn::Absent { .. } => (&[], rows),
         };
-        stored.iter().copied().chain(std::iter::repeat_n(T::SENTINEL, absent))
+        stored.iter().copied().chain(std::iter::repeat_n(f32::NAN, absent))
     }
 
     /// Heap bytes of stored values.
     fn stored_bytes(&self) -> usize {
         match self {
-            Payload::Stored(values) => std::mem::size_of_val(values.as_slice()),
-            Payload::Absent { .. } => 0,
+            RatingColumn::Stored(values) => std::mem::size_of_val(values.as_slice()),
+            RatingColumn::Absent { .. } => 0,
         }
+    }
+}
+
+/// The timestamp column, aligned with `items`, as narrow as its stamps
+/// allow.
+#[derive(Debug, Clone)]
+enum StampColumn {
+    /// No row has an event time.
+    Absent,
+    /// Every stamp is below `u32::MAX`, which encodes [`NO_TIMESTAMP`].
+    Narrow(Vec<u32>),
+    /// Some stamp needs 64 bits.
+    Wide(Vec<u64>),
+}
+
+/// `stamp` in the narrow column's encoding, if it fits there.
+fn narrow_stamp(stamp: u64) -> Option<u32> {
+    if stamp == NO_TIMESTAMP {
+        return Some(u32::MAX);
+    }
+    u32::try_from(stamp).ok().filter(|&s| s != u32::MAX)
+}
+
+/// A narrow column's `stamp` as the `u64` it encodes.
+fn widen_stamp(stamp: u32) -> u64 {
+    if stamp == u32::MAX {
+        NO_TIMESTAMP
+    } else {
+        u64::from(stamp)
+    }
+}
+
+impl StampColumn {
+    /// The stamps of the rows in `range`.
+    #[inline]
+    fn slice(&self, range: std::ops::Range<usize>) -> Timestamps<'_> {
+        Timestamps(match self {
+            StampColumn::Absent => StampSlice::Absent(range.len()),
+            StampColumn::Narrow(stamps) => StampSlice::Narrow(&stamps[range]),
+            StampColumn::Wide(stamps) => StampSlice::Wide(&stamps[range]),
+        })
+    }
+
+    /// Column length in a store of `rows` rows (an absent column is
+    /// `rows` sentinels long).
+    fn len(&self, rows: usize) -> usize {
+        match self {
+            StampColumn::Absent => rows,
+            StampColumn::Narrow(stamps) => stamps.len(),
+            StampColumn::Wide(stamps) => stamps.len(),
+        }
+    }
+
+    /// Heap bytes of stored stamps: 4 or 8 per row, by width.
+    fn stored_bytes(&self) -> usize {
+        match self {
+            StampColumn::Absent => 0,
+            StampColumn::Narrow(stamps) => std::mem::size_of_val(stamps.as_slice()),
+            StampColumn::Wide(stamps) => std::mem::size_of_val(stamps.as_slice()),
+        }
+    }
+}
+
+/// The timestamps of a run of rows, as [`InteractionMatrix::timestamps_of`]
+/// returns them: a borrowed view of the column at whatever width the
+/// store holds it, read back as `u64` stamps with [`NO_TIMESTAMP`] for
+/// rows without an event time.
+#[derive(Debug, Clone, Copy)]
+pub struct Timestamps<'a>(StampSlice<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum StampSlice<'a> {
+    /// This many rows, none of them stamped.
+    Absent(usize),
+    /// `u32::MAX` encodes [`NO_TIMESTAMP`].
+    Narrow(&'a [u32]),
+    Wide(&'a [u64]),
+}
+
+impl<'a> Timestamps<'a> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            StampSlice::Absent(len) => len,
+            StampSlice::Narrow(stamps) => stamps.len(),
+            StampSlice::Wide(stamps) => stamps.len(),
+        }
+    }
+
+    /// Whether the view holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The stamp of row `k` of the view.
+    ///
+    /// # Panics
+    /// If `k` is not below [`Self::len`].
+    #[inline]
+    pub fn at(&self, k: usize) -> u64 {
+        match self.0 {
+            StampSlice::Absent(len) => {
+                assert!(k < len, "timestamp row {k} out of {len}");
+                NO_TIMESTAMP
+            }
+            StampSlice::Narrow(stamps) => widen_stamp(stamps[k]),
+            StampSlice::Wide(stamps) => stamps[k],
+        }
+    }
+
+    /// Every row's stamp, in row order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        let view = *self;
+        (0..view.len()).map(move |k| view.at(k))
     }
 }
 
@@ -144,9 +246,9 @@ pub struct InteractionMatrix {
     /// Item column, strictly increasing within each user's range.
     items: Vec<ItemId>,
     /// Ratings aligned with `items` (`NaN` = implicit).
-    ratings: Payload<f32>,
+    ratings: RatingColumn,
     /// Timestamps aligned with `items` ([`NO_TIMESTAMP`] = no event time).
-    timestamps: Payload<u64>,
+    timestamps: StampColumn,
     /// Per-item row ranges into `i_users`, length `num_items + 1`.
     i_offsets: Vec<u32>,
     /// User column of the item-major index, sorted within each item;
@@ -271,7 +373,8 @@ impl InteractionMatrix {
     }
 
     /// Assembles a store from raw columns with **no validation**. Both
-    /// payload columns count as stored, so an empty `ratings` or
+    /// payload columns count as stored (timestamps at 64 bits, whatever
+    /// their values), so an empty `ratings` or
     /// `timestamps` beside nonempty `items` is a length mismatch, not an
     /// absent column. The item-major index counts as built from
     /// `i_offsets` and `i_users`.
@@ -294,8 +397,8 @@ impl InteractionMatrix {
             num_items,
             u_offsets,
             items,
-            ratings: Payload::Stored(ratings),
-            timestamps: Payload::Stored(timestamps),
+            ratings: RatingColumn::Stored(ratings),
+            timestamps: StampColumn::Wide(timestamps),
             i_offsets,
             i_users: OnceLock::from(i_users),
         }
@@ -335,9 +438,9 @@ impl InteractionMatrix {
     }
 
     /// Timestamps aligned with [`Self::items_of`] ([`NO_TIMESTAMP`] for
-    /// rows without an event time).
+    /// rows without an event time), as a view that allocates nothing.
     #[inline]
-    pub fn timestamps_of(&self, user: UserId) -> &[u64] {
+    pub fn timestamps_of(&self, user: UserId) -> Timestamps<'_> {
         self.timestamps.slice(self.user_range(user))
     }
 
@@ -411,7 +514,8 @@ impl InteractionMatrix {
 
     /// Heap bytes of the stored columns. An absent payload column counts
     /// nothing; its sentinel run (one longest history long, independent
-    /// of the row count) is left out. The item-major user column counts
+    /// of the row count) is left out. A stored timestamp column counts 4
+    /// or 8 bytes a row, by its width. The item-major user column counts
     /// only once it is built.
     pub fn memory_bytes(&self) -> usize {
         self.u_offsets.len() * 4
@@ -462,7 +566,7 @@ impl InteractionMatrix {
                         b += 1;
                     }
                     (Some(ei), _) => {
-                        builder.push_existing(user, ei, ratings[e], stamps[e]);
+                        builder.push_existing(user, ei, ratings[e], stamps.at(e));
                         e += 1;
                     }
                     (None, Some(ai)) => {
@@ -477,8 +581,9 @@ impl InteractionMatrix {
 
     /// FNV-1a digest over every column — a cheap byte-identity fingerprint
     /// for the ingest determinism tests. An absent payload column hashes
-    /// as its per-row sentinels, so the digest depends on the row values
-    /// only, not on whether a column is stored. The item-major index is
+    /// as its per-row sentinels and a narrow timestamp column as the
+    /// `u64` stamps it encodes, so the digest depends on the row values
+    /// only, not on how a column is stored. The item-major index is
     /// built first and hashed like every other column.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
@@ -494,7 +599,7 @@ impl InteractionMatrix {
         for r in self.ratings.values(rows) {
             h.write_u32(r.to_bits());
         }
-        for t in self.timestamps.values(rows) {
+        for t in self.timestamps.slice(0..rows).iter() {
             h.write_u64(t);
         }
         for &o in &self.i_offsets {
@@ -644,7 +749,10 @@ fn scatter_item_users(
 ///
 /// A payload column is materialized at its first non-sentinel value, with
 /// the earlier rows back-filled by sentinels; a column that never gets
-/// one is not stored at all.
+/// one is not stored at all. The timestamp column is stored narrow
+/// (`u32`) and widened to `u64`, once, at the first stamp that needs it.
+/// Which layout a store gets thus depends only on the rows pushed, so
+/// every path to the same rows builds the same layout.
 #[derive(Debug)]
 pub(crate) struct ColumnarBuilder {
     num_users: usize,
@@ -653,8 +761,8 @@ pub(crate) struct ColumnarBuilder {
     items: Vec<ItemId>,
     /// Empty until the first non-sentinel rating.
     ratings: Vec<f32>,
-    /// Empty until the first non-sentinel timestamp.
-    timestamps: Vec<u64>,
+    /// Absent until the first non-sentinel timestamp.
+    timestamps: StampColumn,
     last: Option<(UserId, ItemId)>,
 }
 
@@ -667,7 +775,7 @@ impl ColumnarBuilder {
             counts: vec![0u32; num_users],
             items: Vec::new(),
             ratings: Vec::new(),
-            timestamps: Vec::new(),
+            timestamps: StampColumn::Absent,
             last: None,
         }
     }
@@ -712,8 +820,8 @@ impl ColumnarBuilder {
         self.last = Some((user, item));
         self.counts[user.index()] += 1;
         let (row, capacity) = (self.items.len(), self.items.capacity());
-        push_payload(&mut self.ratings, row, capacity, rating);
-        push_payload(&mut self.timestamps, row, capacity, timestamp);
+        push_rating(&mut self.ratings, row, capacity, rating);
+        push_stamp(&mut self.timestamps, row, capacity, timestamp);
         self.items.push(item);
     }
 
@@ -731,26 +839,50 @@ impl ColumnarBuilder {
             num_items: self.num_items,
             u_offsets,
             items: self.items,
-            ratings: Payload::from_built(self.ratings, max_degree),
-            timestamps: Payload::from_built(self.timestamps, max_degree),
+            ratings: RatingColumn::from_built(self.ratings, max_degree),
+            timestamps: self.timestamps,
             i_offsets,
             i_users: OnceLock::new(),
         }
     }
 }
 
-/// Appends `value` as row `row` of a payload column that stays empty
-/// while every row so far is a sentinel. The first non-sentinel value
-/// allocates the column at `capacity` and back-fills rows `0..row`.
-fn push_payload<T: Sentinel>(column: &mut Vec<T>, row: usize, capacity: usize, value: T) {
+/// Appends `rating` as row `row` of a rating column that stays empty
+/// while every row so far is implicit. The first other value allocates
+/// the column at `capacity` and back-fills rows `0..row`.
+fn push_rating(column: &mut Vec<f32>, row: usize, capacity: usize, rating: f32) {
     if column.is_empty() {
-        if value.is_sentinel() {
+        if is_implicit(rating) {
             return;
         }
         column.reserve_exact(capacity.max(row + 1));
-        column.resize(row, T::SENTINEL);
+        column.resize(row, f32::NAN);
     }
-    column.push(value);
+    column.push(rating);
+}
+
+/// Appends `stamp` as row `row` of a timestamp column that stays absent
+/// while every row so far is unstamped. The first stamped row allocates
+/// the column narrow at `capacity` and back-fills rows `0..row`; the
+/// first stamp that does not fit below `u32::MAX` reallocates it wide.
+fn push_stamp(column: &mut StampColumn, row: usize, capacity: usize, stamp: u64) {
+    match (&mut *column, narrow_stamp(stamp)) {
+        (StampColumn::Absent, _) if stamp == NO_TIMESTAMP => {}
+        (StampColumn::Narrow(stamps), Some(s)) => stamps.push(s),
+        (StampColumn::Wide(stamps), _) => stamps.push(stamp),
+        (StampColumn::Absent, Some(s)) => {
+            let mut stamps = Vec::with_capacity(capacity.max(row + 1));
+            stamps.resize(row, u32::MAX);
+            stamps.push(s);
+            *column = StampColumn::Narrow(stamps);
+        }
+        (StampColumn::Absent | StampColumn::Narrow(_), None) => {
+            let mut stamps = Vec::with_capacity(capacity.max(row + 1));
+            stamps.extend(column.slice(0..row).iter());
+            stamps.push(stamp);
+            *column = StampColumn::Wide(stamps);
+        }
+    }
 }
 
 /// Minimal FNV-1a 64-bit hasher (dependency-free, deterministic).
@@ -791,6 +923,11 @@ impl Fnv {
 mod tests {
     use super::*;
 
+    /// `user`'s timestamps, collected.
+    fn stamps(c: &InteractionMatrix, user: UserId) -> Vec<u64> {
+        c.timestamps_of(user).iter().collect()
+    }
+
     fn rows() -> Vec<Interaction> {
         vec![
             Interaction::implicit(UserId(0), ItemId(1)),
@@ -809,7 +946,7 @@ mod tests {
         assert_eq!(c.users_of(ItemId(1)), &[UserId(0), UserId(2)]);
         assert!(c.ratings_of(UserId(0))[0].is_nan());
         assert_eq!(c.ratings_of(UserId(0))[1], 5.0);
-        assert_eq!(c.timestamps_of(UserId(0)), &[NO_TIMESTAMP, NO_TIMESTAMP]);
+        assert_eq!(stamps(&c, UserId(0)), [NO_TIMESTAMP, NO_TIMESTAMP]);
         assert!(c.contains(UserId(2), ItemId(0)));
         assert!(!c.contains(UserId(1), ItemId(0)));
     }
@@ -856,7 +993,7 @@ mod tests {
             2,
             &[Interaction { user: UserId(0), item: ItemId(1), rating: None, timestamp: Some(42) }],
         );
-        assert_eq!(c.timestamps_of(UserId(0)), &[42]);
+        assert_eq!(stamps(&c, UserId(0)), [42]);
     }
 
     #[test]
@@ -928,7 +1065,7 @@ mod tests {
             c.u_offsets.clone(),
             c.items.clone(),
             c.ratings.values(c.num_interactions()).collect(),
-            c.timestamps.values(c.num_interactions()).collect(),
+            c.timestamps.slice(0..c.num_interactions()).iter().collect(),
             i_offsets,
             i_users,
         )
@@ -1050,11 +1187,11 @@ mod tests {
                 for p in 0..c.user_degree(user) {
                     let want = rows[row];
                     assert_eq!(ratings[p].to_bits(), want.rating.unwrap_or(f32::NAN).to_bits());
-                    assert_eq!(stamps[p], want.timestamp.unwrap_or(NO_TIMESTAMP));
+                    assert_eq!(stamps.at(p), want.timestamp.unwrap_or(NO_TIMESTAMP));
                     row += 1;
                 }
             }
-            let payload = if k.is_some() { 6 * (4 + 8) } else { 0 };
+            let payload = if k.is_some() { 6 * (4 + 4) } else { 0 };
             assert_memory_bytes(&c, payload);
         }
     }
@@ -1071,10 +1208,10 @@ mod tests {
             ],
         );
         assert_memory_bytes(&c, 0);
-        assert!(matches!(c.ratings, Payload::Absent { .. }));
-        assert!(matches!(c.timestamps, Payload::Absent { .. }));
-        assert_eq!(c.timestamps_of(UserId(2)), &[NO_TIMESTAMP, NO_TIMESTAMP]);
-        assert_eq!(c.timestamps_of(UserId(1)), &[] as &[u64]);
+        assert!(matches!(c.ratings, RatingColumn::Absent { .. }));
+        assert!(matches!(c.timestamps, StampColumn::Absent));
+        assert_eq!(stamps(&c, UserId(2)), [NO_TIMESTAMP, NO_TIMESTAMP]);
+        assert!(c.timestamps_of(UserId(1)).is_empty());
     }
 
     #[test]
@@ -1088,7 +1225,7 @@ mod tests {
                 Interaction::rated(UserId(0), ItemId(1), odd_nan),
             ],
         );
-        assert!(matches!(c.ratings, Payload::Stored(_)));
+        assert!(matches!(c.ratings, RatingColumn::Stored(_)));
         let bits: Vec<u32> = c.ratings_of(UserId(0)).iter().map(|r| r.to_bits()).collect();
         assert_eq!(bits, [f32::NAN.to_bits(), odd_nan.to_bits()]);
         assert_memory_bytes(&c, 2 * 4);
@@ -1106,6 +1243,56 @@ mod tests {
                 assert_eq!(grown.memory_bytes(), one_shot.memory_bytes());
             }
         }
+    }
+
+    /// One user's rows stamped `stamps` in item order.
+    fn stamped_rows(stamps: &[Option<u64>]) -> Vec<Interaction> {
+        (0..stamps.len())
+            .map(|i| Interaction {
+                user: UserId(0),
+                item: ItemId(id32(i)),
+                rating: None,
+                timestamp: stamps[i],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stamp_column_widens_once_at_the_first_wide_stamp() {
+        let narrow_max = u64::from(u32::MAX) - 1;
+        let narrow = [None, Some(7), Some(NO_TIMESTAMP), Some(narrow_max)];
+        let c = InteractionMatrix::from_interactions(1, 6, &stamped_rows(&narrow));
+        assert!(matches!(c.timestamps, StampColumn::Narrow(_)));
+        assert_eq!(c.timestamps.stored_bytes(), 4 * 4);
+        assert_eq!(stamps(&c, UserId(0)), [NO_TIMESTAMP, 7, NO_TIMESTAMP, narrow_max]);
+
+        // `u32::MAX` itself is a stamp, not the narrow sentinel.
+        for wide in [u64::from(u32::MAX), NO_TIMESTAMP - 1] {
+            let mixed = [None, Some(7), Some(wide), Some(3), None];
+            let c = InteractionMatrix::from_interactions(1, 6, &stamped_rows(&mixed));
+            assert!(matches!(c.timestamps, StampColumn::Wide(_)));
+            assert_eq!(c.timestamps.stored_bytes(), 5 * 8);
+            assert_eq!(stamps(&c, UserId(0)), [NO_TIMESTAMP, 7, wide, 3, NO_TIMESTAMP]);
+        }
+    }
+
+    #[test]
+    fn append_widens_like_one_shot_and_only_for_surviving_stamps() {
+        let wide = u64::from(u32::MAX) + 5;
+        let rows = stamped_rows(&[Some(1), None, Some(wide), Some(2)]);
+        let one_shot = InteractionMatrix::from_interactions(1, 4, &rows);
+        for cut in 0..=rows.len() {
+            let grown =
+                InteractionMatrix::from_interactions(1, 4, &rows[..cut]).append(&rows[cut..]);
+            assert_eq!(grown.digest(), one_shot.digest(), "cut {cut}");
+            assert_eq!(grown.memory_bytes(), one_shot.memory_bytes(), "cut {cut}");
+        }
+        // A wide stamp on a row that loses dedup leaves the column narrow.
+        let base = InteractionMatrix::from_interactions(1, 4, &rows[..2]);
+        let dup = Interaction { timestamp: Some(wide), ..rows[0] };
+        let grown = base.append(&[dup]);
+        assert!(matches!(grown.timestamps, StampColumn::Narrow(_)));
+        assert_eq!(grown.digest(), base.digest());
     }
 
     #[test]

@@ -50,7 +50,13 @@ pub fn sample_negative<R: Rng + ?Sized>(
 }
 
 /// A labeled user–item pair for CTR-style evaluation.
+///
+/// Packed to 9 bytes: a CTR set holds several pairs per test row, and
+/// the `bool` behind two `u32` ids would otherwise pad each pair to 12.
+/// A field cannot be borrowed in place: copy it out first, as in
+/// `format!("{}", { p.user })`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed)]
 pub struct LabeledPair {
     /// The user.
     pub user: UserId,
@@ -107,6 +113,11 @@ mod tests {
                 Interaction::implicit(UserId(1), ItemId(4)),
             ],
         )
+    }
+
+    #[test]
+    fn labeled_pair_is_packed_to_nine_bytes() {
+        assert_eq!(std::mem::size_of::<LabeledPair>(), 9);
     }
 
     #[test]

@@ -135,7 +135,7 @@ fn stream_split(
         let mut next_held = held.iter().copied().peekable();
         for (p, &item) in items.iter().enumerate() {
             let rating = if ratings[p].is_nan() { None } else { Some(ratings[p]) };
-            let timestamp = (keep_timestamps && stamps[p] != NO_TIMESTAMP).then_some(stamps[p]);
+            let timestamp = keep_timestamps.then(|| stamps.at(p)).filter(|&t| t != NO_TIMESTAMP);
             let side = if next_held.next_if_eq(&p).is_some() { &mut test } else { &mut train };
             side.push(user, item, rating, timestamp);
         }
@@ -268,7 +268,7 @@ mod tests {
         // User 0 is a singleton: stays in train, payload intact.
         assert_eq!(s.train.items_of(UserId(0)), &[ItemId(1)]);
         assert_eq!(s.train.ratings_of(UserId(0)), &[3.0]);
-        assert_eq!(s.train.timestamps_of(UserId(0)), &[7]);
+        assert_eq!(s.train.timestamps_of(UserId(0)).iter().collect::<Vec<_>>(), [7]);
         // User 1: second row held out.
         assert_eq!(s.train.items_of(UserId(1)), &[ItemId(0)]);
         assert_eq!(s.test.items_of(UserId(1)), &[ItemId(2)]);

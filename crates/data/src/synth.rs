@@ -998,17 +998,17 @@ mod tests {
             let user = UserId(u as u32);
             assert!(m.user_degree(user) >= 1, "user {u} has no history");
             let stamps = m.timestamps_of(user);
-            for &ts in stamps {
+            for ts in stamps.iter() {
                 assert_ne!(ts, crate::columnar::NO_TIMESTAMP);
             }
             // User-major emission: stamps grow across the store when read
             // user by user (within-user order is by item, so only the
             // per-user minimum is compared across users).
-            let lo = stamps.iter().copied().min().expect("nonempty history");
+            let lo = stamps.iter().min().expect("nonempty history");
             if let Some(prev) = last_stamp {
                 assert!(lo > prev);
             }
-            last_stamp = stamps.iter().copied().max();
+            last_stamp = stamps.iter().max();
         }
         // KG aligned and attribute-bearing, like the dense generator.
         assert_eq!(d.dataset.item_entities.len(), d.config.num_items);

@@ -74,15 +74,6 @@ impl TransD {
         }
     }
 
-    /// Residual `v = h + a·r_p + r − t − b·r_p` with `a = h_pᵀh`,
-    /// `b = t_pᵀt`.
-    #[cfg(test)]
-    fn residual(&self, h: EntityId, r: RelationId, t: EntityId) -> Vec<f32> {
-        let mut v = vec![0.0f32; self.entities.dim()];
-        self.residual_into(h, r, t, &mut v);
-        v
-    }
-
     /// `residual` into a caller-owned buffer.
     fn residual_into(&self, h: EntityId, r: RelationId, t: EntityId, out: &mut [f32]) {
         let hv = self.entities.row(h.index());
@@ -355,6 +346,17 @@ impl kgrec_store::Persistable for TransD {
         self.relation_proj.data_mut().copy_from_slice(&rel_p);
         self.margin = margin;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl TransD {
+    /// Residual `v = h + a·r_p + r − t − b·r_p` with `a = h_pᵀh`,
+    /// `b = t_pᵀt`.
+    fn residual(&self, h: EntityId, r: RelationId, t: EntityId) -> Vec<f32> {
+        let mut v = vec![0.0f32; self.entities.dim()];
+        self.residual_into(h, r, t, &mut v);
+        v
     }
 }
 

@@ -72,15 +72,6 @@ impl TransE {
         acc
     }
 
-    /// Gradient of the distance with respect to `(h, r, t)` as a single
-    /// shared vector `g = 2(h + r − t)`: `∂d/∂h = ∂d/∂r = g`, `∂d/∂t = −g`.
-    #[cfg(test)]
-    fn distance_grad(&self, h: EntityId, r: RelationId, t: EntityId) -> Vec<f32> {
-        let mut g = vec![0.0f32; self.entities.dim()];
-        self.distance_grad_into(h, r, t, &mut g);
-        g
-    }
-
     /// `distance_grad` into a caller-owned buffer (the allocation-free
     /// kernel behind `apply`).
     fn distance_grad_into(&self, h: EntityId, r: RelationId, t: EntityId, g: &mut [f32]) {
@@ -130,12 +121,6 @@ impl TransE {
         self.entities.add_to_row(e.index(), 1.0, delta);
         // Maintain the model's ‖e‖ ≤ 1 invariant under external updates.
         kgrec_linalg::vector::project_to_ball(self.entities.row_mut(e.index()), 1.0);
-    }
-
-    /// Read access to the relation table (tests fingerprint it).
-    #[cfg(test)]
-    pub(crate) fn relations(&self) -> &EmbeddingTable {
-        &self.relations
     }
 }
 
@@ -245,6 +230,22 @@ impl kgrec_store::Persistable for TransE {
         self.relations.data_mut().copy_from_slice(&rel);
         self.margin = margin;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl TransE {
+    /// Gradient of the distance with respect to `(h, r, t)` as a single
+    /// shared vector `g = 2(h + r − t)`: `∂d/∂h = ∂d/∂r = g`, `∂d/∂t = −g`.
+    fn distance_grad(&self, h: EntityId, r: RelationId, t: EntityId) -> Vec<f32> {
+        let mut g = vec![0.0f32; self.entities.dim()];
+        self.distance_grad_into(h, r, t, &mut g);
+        g
+    }
+
+    /// Read access to the relation table (tests fingerprint it).
+    pub(crate) fn relations(&self) -> &EmbeddingTable {
+        &self.relations
     }
 }
 

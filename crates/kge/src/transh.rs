@@ -81,14 +81,6 @@ impl TransH {
         acc
     }
 
-    /// The residual `v = h⊥ + d_r − t⊥` used by all gradients.
-    #[cfg(test)]
-    fn residual(&self, h: EntityId, r: RelationId, t: EntityId) -> Vec<f32> {
-        let mut v = vec![0.0f32; self.entities.dim()];
-        self.residual_into(h, r, t, &mut v);
-        v
-    }
-
     /// `residual` into a caller-owned buffer.
     fn residual_into(&self, h: EntityId, r: RelationId, t: EntityId, out: &mut [f32]) {
         let w = self.normals.row(r.index());
@@ -313,6 +305,16 @@ impl kgrec_store::Persistable for TransH {
         self.normals.data_mut().copy_from_slice(&nor);
         self.margin = margin;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl TransH {
+    /// The residual `v = h⊥ + d_r − t⊥` used by all gradients.
+    fn residual(&self, h: EntityId, r: RelationId, t: EntityId) -> Vec<f32> {
+        let mut v = vec![0.0f32; self.entities.dim()];
+        self.residual_into(h, r, t, &mut v);
+        v
     }
 }
 

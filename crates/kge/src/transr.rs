@@ -98,18 +98,6 @@ impl TransR {
         acc
     }
 
-    /// Residual `v = M_r(h − t) + r` in relation space.
-    #[cfg(test)]
-    fn residual(&self, h: EntityId, r: RelationId, t: EntityId) -> Vec<f32> {
-        let m = &self.projections[r.index()];
-        let hv = self.entities.row(h.index());
-        let tv = self.entities.row(t.index());
-        let u: Vec<f32> = hv.iter().zip(tv.iter()).map(|(a, b)| a - b).collect();
-        let mut v = m.matvec(&u);
-        vector::axpy(1.0, self.relations.row(r.index()), &mut v);
-        v
-    }
-
     /// Gradients: `∂d/∂r = 2v`, `∂d/∂h = 2Mᵀv`, `∂d/∂t = −2Mᵀv`,
     /// `∂d/∂M = 2·v·(h−t)ᵀ`.
     fn apply(&mut self, triple: Triple, scale: f32, lr: f32) {
@@ -355,6 +343,20 @@ impl kgrec_store::Persistable for TransR {
         }
         self.margin = margin;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl TransR {
+    /// Residual `v = M_r(h − t) + r` in relation space.
+    fn residual(&self, h: EntityId, r: RelationId, t: EntityId) -> Vec<f32> {
+        let m = &self.projections[r.index()];
+        let hv = self.entities.row(h.index());
+        let tv = self.entities.row(t.index());
+        let u: Vec<f32> = hv.iter().zip(tv.iter()).map(|(a, b)| a - b).collect();
+        let mut v = m.matvec(&u);
+        vector::axpy(1.0, self.relations.row(r.index()), &mut v);
+        v
     }
 }
 

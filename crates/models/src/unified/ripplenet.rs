@@ -152,17 +152,6 @@ impl RippleNet {
         Forward { probs, queries, responses, user_vec, z }
     }
 
-    /// One BCE SGD step; returns the loss. Gradients are evaluated against
-    /// the step-start parameters ([`Self::record_step`]) and applied in
-    /// recorded order.
-    #[cfg(test)]
-    fn step(&mut self, user: UserId, item: ItemId, label: f32, lr: f32) -> f32 {
-        let mut gb = GradBatch::new();
-        let loss = self.record_step(user, item, label, &mut gb);
-        self.apply_ripple_grads(&gb, lr);
-        loss
-    }
-
     /// Backpropagates one BCE example against the *frozen* current
     /// parameters, recording every update as [`GradOp`]s in the order the
     /// in-place step applied them; returns the loss. `&self` lets workers
@@ -371,6 +360,19 @@ impl Recommender for RippleNet {
 
     fn num_items(&self) -> usize {
         self.alignment.len()
+    }
+}
+
+#[cfg(test)]
+impl RippleNet {
+    /// One BCE SGD step; returns the loss. Gradients are evaluated against
+    /// the step-start parameters ([`Self::record_step`]) and applied in
+    /// recorded order.
+    fn step(&mut self, user: UserId, item: ItemId, label: f32, lr: f32) -> f32 {
+        let mut gb = GradBatch::new();
+        let loss = self.record_step(user, item, label, &mut gb);
+        self.apply_ripple_grads(&gb, lr);
+        loss
     }
 }
 

@@ -24,7 +24,7 @@
 //! a shard is only ever contended by requests for colliding users.
 
 use kgrec_data::{ItemId, UserId};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Slot sentinel: no user cached here.
 const EMPTY: u32 = u32::MAX;
@@ -97,7 +97,7 @@ impl TopKCache {
             return false;
         }
         let (s, slot) = self.locate(user);
-        let shard = self.shards[s].lock().expect("cache shard poisoned");
+        let shard = self.shards[s].lock().unwrap_or_else(PoisonError::into_inner);
         if shard.users[slot] != user.0
             || shard.user_gens[slot] != user_gen
             || shard.model_gens[slot] != model_gen
@@ -123,7 +123,7 @@ impl TopKCache {
         }
         assert!(items.len() <= self.k, "TopKCache: entry longer than k");
         let (s, slot) = self.locate(user);
-        let mut shard = self.shards[s].lock().expect("cache shard poisoned");
+        let mut shard = self.shards[s].lock().unwrap_or_else(PoisonError::into_inner);
         shard.users[slot] = user.0;
         shard.user_gens[slot] = user_gen;
         shard.model_gens[slot] = model_gen;

@@ -11,7 +11,7 @@ use kgrec_data::{Interaction, InteractionMatrix, ItemId, KgDataset, UserId};
 use kgrec_kge::KgeModel;
 use kgrec_store::{CheckpointStore, Persistable};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// A model that can be served: scorable as a KGE backend and restorable
 /// from a [`CheckpointStore`] snapshot.
@@ -195,18 +195,18 @@ impl Server {
 
     /// A scratch arena sized for this server's current model and caps.
     pub fn make_scratch(&self) -> ServeScratch {
-        let dim = self.model.read().expect("model lock poisoned").model.as_kge().dim();
+        let dim = self.model.read().unwrap_or_else(PoisonError::into_inner).model.as_kge().dim();
         ServeScratch::new(self.index.num_items(), dim, self.config.max_candidates, self.config.k)
     }
 
     /// A snapshot of the live interaction matrix (tests and benches).
     pub fn interactions(&self) -> Arc<InteractionMatrix> {
-        Arc::clone(&self.live.read().expect("live lock poisoned").interactions)
+        Arc::clone(&self.live.read().unwrap_or_else(PoisonError::into_inner).interactions)
     }
 
     /// Checkpoint generation of the model currently serving.
     pub fn model_generation(&self) -> u64 {
-        self.model.read().expect("model lock poisoned").generation
+        self.model.read().unwrap_or_else(PoisonError::into_inner).generation
     }
 
     /// Answers one request: the ranked top-K lands in `scratch`
@@ -236,7 +236,7 @@ impl Server {
     /// of the popularity order.
     pub fn compute_fresh(&self, user: UserId, scratch: &mut ServeScratch) {
         let (interactions, pop_order) = {
-            let live = self.live.read().expect("live lock poisoned");
+            let live = self.live.read().unwrap_or_else(PoisonError::into_inner);
             (Arc::clone(&live.interactions), Arc::clone(&live.pop_order))
         };
         if user.index() >= interactions.num_users() {
@@ -245,7 +245,7 @@ impl Server {
             scratch.out.extend(pop_order.iter().take(self.config.k).map(|&v| ItemId(v)));
             return;
         }
-        let state = Arc::clone(&self.model.read().expect("model lock poisoned"));
+        let state = Arc::clone(&self.model.read().unwrap_or_else(PoisonError::into_inner));
         candidates_for(&self.index, &interactions, &pop_order, user, &self.config, scratch);
         rank_candidates(
             &self.index,
@@ -269,18 +269,22 @@ impl Server {
     ///
     /// # Panics
     /// If the batch references users or items outside the matrix's id
-    /// space (the columnar store's `append` contract).
+    /// space (the columnar store's `append` contract). Such a panic
+    /// publishes nothing, so later ingests go on: no lock guard in this
+    /// type is held across a write that can panic part-way, and every
+    /// lock is taken past a poisoning.
     pub fn ingest(&self, batch: &[Interaction]) {
         if batch.is_empty() {
             return;
         }
-        let _serialize = self.ingest_lock.lock().expect("ingest lock poisoned");
-        let current = Arc::clone(&self.live.read().expect("live lock poisoned").interactions);
+        let _serialize = self.ingest_lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let current =
+            Arc::clone(&self.live.read().unwrap_or_else(PoisonError::into_inner).interactions);
         let appended = current.append(batch);
         appended.build_item_index();
         let pop_order = Arc::new(popularity_order(&appended));
         {
-            let mut live = self.live.write().expect("live lock poisoned");
+            let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
             live.interactions = Arc::new(appended);
             live.pop_order = pop_order;
         }
@@ -321,7 +325,8 @@ impl Server {
         // Worker scratches are sized for the serving model's dimension, and
         // every graph entity must have a row: the probe grid alone need
         // not reach either mismatch, but every later miss would panic.
-        let serving_dim = self.model.read().expect("model lock poisoned").model.as_kge().dim();
+        let serving_dim =
+            self.model.read().unwrap_or_else(PoisonError::into_inner).model.as_kge().dim();
         let (dim, entities) = (fresh.as_kge().dim(), fresh.as_kge().num_entities());
         let shape_error = if dim != serving_dim {
             Some(format!("dimension {dim} differs from the serving dimension {serving_dim}"))
@@ -368,7 +373,7 @@ impl Server {
             };
         }
         {
-            let mut state = self.model.write().expect("model lock poisoned");
+            let mut state = self.model.write().unwrap_or_else(PoisonError::into_inner);
             *state = Arc::new(ModelState { model: fresh, generation: recovery.generation });
         }
         self.model_gen.fetch_add(1, Ordering::Release);
@@ -487,6 +492,33 @@ mod tests {
             assert_ne!(v, item, "freshly interacted item served back");
         }
         assert!(server.serve(untouched, &mut s), "untouched user must still hit");
+    }
+
+    #[test]
+    fn ingest_after_a_panicking_ingest_still_works() {
+        let server = tiny_server(7, ServeConfig::default());
+        let mut s = server.make_scratch();
+        let mut fresh = server.make_scratch();
+        let touched = UserId(0);
+        server.serve(touched, &mut s);
+        let before = server.interactions();
+        let out_of_range = Interaction::implicit(touched, ItemId(before.num_items() as u32));
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            server.ingest(&[out_of_range]);
+        }));
+        assert!(bad.is_err(), "an out-of-range batch must be refused");
+        assert!(server.ingest_lock.is_poisoned(), "the refusal panicked under the lock");
+        assert_eq!(server.interactions().digest(), before.digest());
+
+        let item = (0..before.num_items() as u32)
+            .map(ItemId)
+            .find(|&v| !before.contains(touched, v))
+            .expect("tiny user 0 has an unseen item");
+        server.ingest(&[Interaction::implicit(touched, item)]);
+        assert!(server.interactions().contains(touched, item));
+        assert!(!server.serve(touched, &mut s), "touched user must recompute");
+        server.compute_fresh(touched, &mut fresh);
+        assert_eq!(s.top_k(), fresh.top_k());
     }
 
     #[test]

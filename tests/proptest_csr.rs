@@ -84,17 +84,31 @@ fn first_value_row(mode: u8, rows: usize) -> Option<usize> {
     }
 }
 
+/// The stamp of sorted row `k` under stamp mix `mix`: 0 small values
+/// only; 1 also the explicit sentinel and the largest narrow stamp; 2
+/// also stamps of `u32::MAX` and above, which need the wide column.
+/// `pick` chooses among the mix's values.
+fn mixed_stamp(mix: u8, pick: u8, k: usize) -> u64 {
+    let narrow_max = u64::from(u32::MAX) - 1;
+    match (mix, pick) {
+        (1.., 1) => NO_TIMESTAMP,
+        (1.., 2) => narrow_max,
+        (2, 3) => [narrow_max + 1, narrow_max + 2 + k as u64, NO_TIMESTAMP - 1][k % 3],
+        _ => k as u64,
+    }
+}
+
 /// Sorted distinct rows whose ratings and timestamps are sentinels up to
 /// a chosen first row (see [`first_value_row`]), then set where `later`
-/// says so.
+/// says so, with stamps drawn from a [`mixed_stamp`] mix.
 fn arb_payload_rows() -> impl Strategy<Value = (usize, usize, Vec<Interaction>)> {
-    (1usize..12, 1usize..20, 0u8..4, 0u8..4)
-        .prop_flat_map(|(nu, ni, r_mode, t_mode)| {
+    (1usize..12, 1usize..20, 0u8..4, 0u8..4, 0u8..3)
+        .prop_flat_map(|(nu, ni, r_mode, t_mode, mix)| {
             let keys = prop::collection::btree_set((0..nu as u32, 0..ni as u32), 1..80);
-            let later = prop::collection::vec((any::<bool>(), any::<bool>()), 80);
-            (Just(nu), Just(ni), Just(r_mode), Just(t_mode), keys, later)
+            let later = prop::collection::vec((any::<bool>(), any::<bool>(), 0u8..4), 80);
+            (Just(nu), Just(ni), Just(r_mode), Just(t_mode), Just(mix), keys, later)
         })
-        .prop_map(|(nu, ni, r_mode, t_mode, keys, later)| {
+        .prop_map(|(nu, ni, r_mode, t_mode, mix, keys, later)| {
             let first_r = first_value_row(r_mode, keys.len());
             let first_t = first_value_row(t_mode, keys.len());
             let rows = keys
@@ -107,7 +121,7 @@ fn arb_payload_rows() -> impl Strategy<Value = (usize, usize, Vec<Interaction>)>
                         user: UserId(u),
                         item: ItemId(i),
                         rating: rated.then_some((k % 5 + 1) as f32),
-                        timestamp: stamped.then_some(k as u64),
+                        timestamp: stamped.then(|| mixed_stamp(mix, later[k].2, k)),
                     }
                 })
                 .collect();
@@ -197,7 +211,7 @@ proptest! {
                     None => prop_assert!(got_r.is_nan()),
                 }
                 prop_assert_eq!(
-                    c.timestamps_of(user)[k],
+                    c.timestamps_of(user).at(k),
                     timestamp.unwrap_or(NO_TIMESTAMP)
                 );
             }
@@ -283,7 +297,9 @@ proptest! {
     /// Payload columns are stored only once a non-sentinel value arrives,
     /// wherever it arrives: the accessors still return every row's value,
     /// the digest equals the fully stored layout's, only stored columns
-    /// count in `memory_bytes`, and `append` builds the one-shot store.
+    /// count in `memory_bytes` (stamps at 4 B a row, or 8 B once one
+    /// needs 64 bits), and `append` builds the one-shot store, also when
+    /// the batch starts at the first wide stamp.
     #[test]
     fn payload_columns_match_fully_stored_reference(
         (nu, ni, rows) in arb_payload_rows(),
@@ -299,7 +315,7 @@ proptest! {
             let stamps = c.timestamps_of(user);
             prop_assert_eq!(ratings.len(), c.user_degree(user));
             prop_assert_eq!(stamps.len(), c.user_degree(user));
-            for (p, (r, &t)) in ratings.iter().zip(stamps).enumerate() {
+            for (p, (r, t)) in ratings.iter().zip(stamps.iter()).enumerate() {
                 let want = rows[row + p];
                 prop_assert_eq!(r.to_bits(), want.rating.unwrap_or(f32::NAN).to_bits());
                 prop_assert_eq!(t, want.timestamp.unwrap_or(NO_TIMESTAMP));
@@ -313,21 +329,27 @@ proptest! {
         let n = rows.len();
         let index_bytes = full.memory_bytes() - n * (4 + 8);
         let rated = rows.iter().any(|it| it.rating.is_some());
-        let stamped = rows.iter().any(|it| it.timestamp.is_some());
+        let stamped = rows.iter().any(|it| it.timestamp.is_some_and(|t| t != NO_TIMESTAMP));
+        let first_wide =
+            rows.iter().position(|it| it.timestamp.is_some_and(|t| (u64::from(u32::MAX)..NO_TIMESTAMP).contains(&t)));
+        let stamp_bytes = if first_wide.is_some() { 8 } else { 4 };
         prop_assert_eq!(
             c.memory_bytes(),
-            index_bytes + usize::from(rated) * n * 4 + usize::from(stamped) * n * 8
+            index_bytes + usize::from(rated) * n * 4 + usize::from(stamped) * n * stamp_bytes
         );
 
-        let cut = cut_seed % (n + 1);
-        let grown = InteractionMatrix::from_interactions(nu, ni, &rows[..cut]).append(&rows[cut..]);
-        prop_assert_eq!(grown.digest(), c.digest());
-        prop_assert_eq!(grown.memory_bytes(), c.memory_bytes());
-        for u in 0..nu as u32 {
-            let user = UserId(u);
-            let bits = |s: &[f32]| s.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(grown.ratings_of(user)), bits(c.ratings_of(user)));
-            prop_assert_eq!(grown.timestamps_of(user), c.timestamps_of(user));
+        for cut in [cut_seed % (n + 1), first_wide.unwrap_or(n)] {
+            let grown =
+                InteractionMatrix::from_interactions(nu, ni, &rows[..cut]).append(&rows[cut..]);
+            prop_assert_eq!(grown.digest(), c.digest());
+            prop_assert_eq!(grown.memory_bytes(), c.memory_bytes());
+            for u in 0..nu as u32 {
+                let user = UserId(u);
+                let bits = |s: &[f32]| s.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(grown.ratings_of(user)), bits(c.ratings_of(user)));
+                let stamps = |m: &InteractionMatrix| m.timestamps_of(user).iter().collect::<Vec<_>>();
+                prop_assert_eq!(stamps(&grown), stamps(&c));
+            }
         }
     }
 }
