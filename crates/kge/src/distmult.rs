@@ -9,7 +9,7 @@
 use crate::grad::{GradBatch, GradOp};
 use crate::model::KgeModel;
 use kgrec_graph::{EntityId, RelationId, Triple};
-use kgrec_linalg::{vector, EmbeddingTable, Scratch};
+use kgrec_linalg::{vector, EmbeddingTable};
 use rand::Rng;
 
 /// Grad-batch table id of the entity table.
@@ -22,19 +22,13 @@ const T_REL: u8 = 1;
 pub struct DistMult {
     entities: EmbeddingTable,
     relations: EmbeddingTable,
-    scratch: Scratch,
     /// L2 regularization coefficient.
     pub l2: f32,
 }
 
 impl Clone for DistMult {
     fn clone(&self) -> Self {
-        Self {
-            entities: self.entities.clone(),
-            relations: self.relations.clone(),
-            scratch: Scratch::new(),
-            l2: self.l2,
-        }
+        Self { entities: self.entities.clone(), relations: self.relations.clone(), l2: self.l2 }
     }
 
     fn clone_from(&mut self, source: &Self) {
@@ -55,7 +49,6 @@ impl DistMult {
         Self {
             entities: EmbeddingTable::xavier(rng, num_entities, dim),
             relations: EmbeddingTable::xavier(rng, num_relations, dim),
-            scratch: Scratch::new(),
             l2: 1e-4,
         }
     }
@@ -72,44 +65,15 @@ impl DistMult {
         acc
     }
 
-    /// One logistic-loss SGD step on a labeled triple; `label` is `+1.0`
-    /// for true facts, `−1.0` for corrupted ones. Returns the loss.
-    pub(crate) fn train_labeled(&mut self, triple: Triple, label: f32, lr: f32) -> f32 {
-        let (h, r, t) = (triple.head, triple.rel, triple.tail);
-        let s = self.trilinear(h, r, t);
-        let loss = vector::softplus(-label * s);
-        // ∂loss/∂s = −label · σ(−label·s)
-        let dl_ds = -label * vector::sigmoid(-label * s);
-        let d = self.entities.dim();
-        let mut grad_h = self.scratch.take(d);
-        let mut grad_r = self.scratch.take(d);
-        let mut grad_t = self.scratch.take(d);
-        {
-            let hv = self.entities.row(h.index());
-            let rv = self.relations.row(r.index());
-            let tv = self.entities.row(t.index());
-            for i in 0..d {
-                grad_h[i] = dl_ds * rv[i] * tv[i] + self.l2 * hv[i];
-                grad_r[i] = dl_ds * hv[i] * tv[i] + self.l2 * rv[i];
-                grad_t[i] = dl_ds * hv[i] * rv[i] + self.l2 * tv[i];
-            }
-        }
-        self.entities.add_to_row(h.index(), -lr, &grad_h);
-        self.relations.add_to_row(r.index(), -lr, &grad_r);
-        self.entities.add_to_row(t.index(), -lr, &grad_t);
-        self.scratch.put(grad_h);
-        self.scratch.put(grad_r);
-        self.scratch.put(grad_t);
-        loss
-    }
-
-    /// Records the ops of `train_labeled(triple, label, lr)` into `out`
-    /// without touching any parameter (same per-element gradient
-    /// expressions, L2 term included); returns the loss.
+    /// Records one logistic-loss SGD step on a labeled triple into `out`
+    /// without touching any parameter; `label` is `+1.0` for true facts,
+    /// `−1.0` for corrupted ones. The gradients carry the L2 term.
+    /// Returns the loss.
     fn record_labeled(&self, triple: Triple, label: f32, out: &mut GradBatch) -> f32 {
         let (h, r, t) = (triple.head, triple.rel, triple.tail);
         let s = self.trilinear(h, r, t);
         let loss = vector::softplus(-label * s);
+        // ∂loss/∂s = −label · σ(−label·s)
         let dl_ds = -label * vector::sigmoid(-label * s);
         let d = self.entities.dim();
         let hv = self.entities.row(h.index());
@@ -157,14 +121,6 @@ impl KgeModel for DistMult {
 
     fn relation_embedding(&self, r: RelationId) -> &[f32] {
         self.relations.row(r.index())
-    }
-
-    fn train_pair(&mut self, pos: Triple, neg: Triple, lr: f32) -> f32 {
-        self.train_labeled(pos, 1.0, lr) + self.train_labeled(neg, -1.0, lr)
-    }
-
-    fn supports_grad_batches(&self) -> bool {
-        true
     }
 
     fn grad_pair(&self, pos: Triple, neg: Triple, out: &mut GradBatch) -> f32 {
@@ -219,6 +175,7 @@ impl kgrec_store::Persistable for DistMult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::step_pair;
     use kgrec_linalg::gradcheck;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -264,7 +221,7 @@ mod tests {
         let pos = Triple::new(EntityId(0), RelationId(0), EntityId(1));
         let neg = Triple::new(EntityId(0), RelationId(0), EntityId(2));
         for _ in 0..300 {
-            m.train_pair(pos, neg, 0.1);
+            step_pair(&mut m, pos, neg, 0.1);
         }
         assert!(m.score(pos.head, pos.rel, pos.tail) > m.score(neg.head, neg.rel, neg.tail));
     }
@@ -273,14 +230,20 @@ mod tests {
     fn l2_shrinks_unused_magnitude() {
         let mut m = model();
         m.l2 = 0.5;
-        let before = vector::norm(m.entities.row(0));
-        // Train on a triple with huge positive score so dl_ds ≈ 0; only L2 acts.
+        // Train on a positive with a huge score, so its dl_ds ≈ 0, against
+        // a negative whose tail row is zero, so its gradient on row 0 is
+        // the L2 term alone: only L2 acts on entity 0.
         m.entities.row_mut(0).fill(2.0);
         m.relations.row_mut(0).fill(2.0);
         m.entities.row_mut(1).fill(2.0);
+        m.entities.row_mut(2).fill(0.0);
         let norm_before = vector::norm(m.entities.row(0));
-        m.train_labeled(Triple::new(EntityId(0), RelationId(0), EntityId(1)), 1.0, 0.1);
+        step_pair(
+            &mut m,
+            Triple::new(EntityId(0), RelationId(0), EntityId(1)),
+            Triple::new(EntityId(0), RelationId(0), EntityId(2)),
+            0.1,
+        );
         assert!(vector::norm(m.entities.row(0)) < norm_before);
-        let _ = before;
     }
 }

@@ -1,23 +1,23 @@
-//! Recorded gradient batches for deterministic parallel training.
+//! Recorded gradient tapes: the one way a KGE model's parameters train.
 //!
-//! The sequential KGE trainer interleaves gradient computation and
-//! parameter updates pair by pair, which cannot be parallelized without
-//! changing results. The batched trainer in [`crate::trainer`] splits the
-//! two phases instead:
+//! A model never updates itself in place. Training splits into two
+//! phases:
 //!
-//! 1. **compute** — workers call [`crate::model::KgeModel::grad_pair`]
-//!    against a *frozen* `&self`, recording every update they would have
-//!    made as [`GradOp`]s over a flat `f32` arena (one [`GradBatch`] per
-//!    worker — the worker-local gradient buffer);
-//! 2. **apply** — the trainer replays the recorded ops **in pair order**
-//!    through [`crate::model::KgeModel::apply_grads`].
+//! 1. **record** — [`crate::model::KgeModel::grad_pair`] reads a *frozen*
+//!    `&self` and writes every update it would make as [`GradOp`]s over a
+//!    flat `f32` arena, one [`GradBatch`];
+//! 2. **apply** — [`crate::model::KgeModel::apply_grads`] replays the ops
+//!    in recorded order.
 //!
-//! Because gradients are pure functions of the frozen parameters and
-//! application order is fixed by the batch sequence (never by worker
-//! scheduling), the resulting parameters are bit-identical at any thread
-//! count. Constraint projections (norm balls, unit normals, Frobenius
-//! clamps) are recorded as ops too, so they replay at exactly the same
-//! points of the update sequence as in single-pair training.
+//! The batched trainer in [`crate::trainer`] records one batch per fixed
+//! sub-batch of pairs on worker threads and applies the batches in
+//! sub-batch order. Gradients are pure functions of the frozen
+//! parameters and the application order is fixed by the data, never by
+//! worker scheduling, so the parameters are bit-identical at any thread
+//! count. `TransR::train_pair` records and applies one triple at a time,
+//! which reproduces a sequential SGD step bit for bit. Constraint
+//! projections (norm balls, unit normals, Frobenius clamps) are ops too,
+//! so they replay at exactly their point in the update sequence.
 
 /// A segment of a [`GradBatch`] arena: one recorded gradient vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

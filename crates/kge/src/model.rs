@@ -1,4 +1,11 @@
 //! The shared KGE model interface.
+//!
+//! A model scores triples, exposes its learned embeddings, and changes its
+//! parameters through one gradient path: [`KgeModel::grad_pair`] records a
+//! pair's updates and constraint projections as ops in a [`GradBatch`]
+//! against frozen parameters, and [`KgeModel::apply_grads`] replays them.
+//! The batched trainer and the per-pair callers (CKE and KGAT step TransR
+//! one pair at a time through `TransR::train_pair`) share that path.
 
 use crate::grad::GradBatch;
 use kgrec_graph::{EntityId, RelationId, Triple};
@@ -40,57 +47,34 @@ pub trait KgeModel: Send + Sync {
     /// The relation latent vector `r_k`.
     fn relation_embedding(&self, r: RelationId) -> &[f32];
 
-    /// One SGD step on a (positive, negative) triple pair; returns the
-    /// pair's loss *before* the update.
-    fn train_pair(&mut self, pos: Triple, neg: Triple, lr: f32) -> f32;
-
-    /// SGD steps over a pre-drawn batch of (positive, negative) pairs,
-    /// pushing each pair's loss onto `losses` in order.
-    ///
-    /// The default applies `train_pair` sequentially, so the parameter
-    /// trajectory and the per-pair losses are exactly those of the
-    /// unbatched loop; implementations may override to amortise per-pair
-    /// setup but must preserve both properties (the trainer accumulates
-    /// the returned losses in pair order, and the golden evaluation
-    /// transcript pins the resulting parameters bit-for-bit).
-    fn train_batch(&mut self, pairs: &[(Triple, Triple)], lr: f32, losses: &mut Vec<f32>) {
-        for &(pos, neg) in pairs {
-            losses.push(self.train_pair(pos, neg, lr));
-        }
-    }
-
-    /// Whether the model implements the recorded-gradient pair
-    /// ([`Self::grad_pair`] / [`Self::apply_grads`]) and should be trained
-    /// through the deterministic batched path. Defaults to `false`: such
-    /// models keep the sequential per-pair trajectory.
-    fn supports_grad_batches(&self) -> bool {
-        false
-    }
-
     /// Computes the gradients of one (positive, negative) pair against the
     /// *frozen* current parameters, recording every update and constraint
     /// projection as ops in `out`. Returns the pair's loss. Must not
     /// mutate any parameter — `&self` enforces it — so workers can record
     /// batches concurrently.
     ///
-    /// Unlike [`Self::train_pair`], the negative triple's gradients are
-    /// evaluated at the same frozen parameters as the positive's (the
-    /// sequential path updates between the two); the batched trainer's
-    /// trajectory is therefore a frozen-minibatch variant of SGD, not a
-    /// replay of the sequential one — but it is identical at every thread
-    /// count.
-    fn grad_pair(&self, _pos: Triple, _neg: Triple, _out: &mut GradBatch) -> f32 {
-        unimplemented!("grad_pair requires supports_grad_batches()")
-    }
+    /// The negative triple's gradients are evaluated at the same frozen
+    /// parameters as the positive's, so a batch of pairs trains as
+    /// frozen-minibatch SGD, identical at every thread count.
+    fn grad_pair(&self, pos: Triple, neg: Triple, out: &mut GradBatch) -> f32;
 
-    /// Applies a recorded batch in op order with learning rate `lr`.
-    fn apply_grads(&mut self, _batch: &GradBatch, _lr: f32) {
-        unimplemented!("apply_grads requires supports_grad_batches()")
-    }
+    /// Applies a recorded batch in op order with learning rate `lr`. Every
+    /// SGD step on a model goes through here.
+    fn apply_grads(&mut self, batch: &GradBatch, lr: f32);
 
     /// Applies per-epoch constraints (norm projections). Default: nothing.
     fn post_epoch(&mut self) {}
 
     /// Short algorithm name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// One SGD step on a single pair through the recorded-op path; returns the
+/// pair's loss before the update.
+#[cfg(test)]
+pub(crate) fn step_pair<M: KgeModel>(m: &mut M, pos: Triple, neg: Triple, lr: f32) -> f32 {
+    let mut batch = GradBatch::new();
+    let loss = m.grad_pair(pos, neg, &mut batch);
+    m.apply_grads(&batch, lr);
+    loss
 }

@@ -10,31 +10,19 @@
 use kgrec_linalg::{EmbeddingTable, Matrix};
 use kgrec_store::{Section, SnapshotReader, StoreError};
 
-/// Encodes an embedding table as `rows (u64) | dim (u64) | data (f32 LE)`.
+/// Encodes an embedding table in the store's table layout.
 pub(crate) fn table_section(table: &EmbeddingTable) -> Section {
-    let mut s = Section::new();
-    s.put_u64(table.len() as u64);
-    s.put_u64(table.dim() as u64);
-    s.put_f32s(table.data());
-    s
+    Section::table(table.len(), table.dim(), table.data())
 }
 
-/// Decodes a table section, validating its shape against `live`.
+/// Decodes a table section whose shape must equal `live`'s, even when
+/// `live` has no rows: a KGE model's shape is fixed by its constructor.
 pub(crate) fn read_table(
     reader: &SnapshotReader,
     name: &str,
     live: &EmbeddingTable,
 ) -> Result<Vec<f32>, StoreError> {
-    let mut c = reader.section(name)?;
-    let rows = c.take_u64()? as usize;
-    let dim = c.take_u64()? as usize;
-    if rows != live.len() || dim != live.dim() {
-        return Err(StoreError::ShapeMismatch {
-            section: name.to_string(),
-            detail: format!("stored {rows}×{dim}, live {}×{}", live.len(), live.dim()),
-        });
-    }
-    c.take_f32s(rows * dim)
+    Ok(reader.table(name, Some((live.len(), live.dim())))?.2)
 }
 
 /// Encodes a list of equally-shaped matrices as
@@ -90,4 +78,29 @@ pub(crate) fn scalar_section(value: f32) -> Section {
 pub(crate) fn read_scalar(reader: &SnapshotReader, name: &str) -> Result<f32, StoreError> {
     let mut c = reader.section(name)?;
     c.take_f32()
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::TransE;
+    use kgrec_store::{load_snapshot, save_snapshot, StoreError};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn zero_row_live_table_rejects_a_differently_shaped_snapshot() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let saved = TransE::new(&mut rng, 3, 1, 4, 1.0);
+        let path = std::env::temp_dir()
+            .join(format!("kgrec_kge_persist_zero_row_{}.snap", std::process::id()));
+        save_snapshot(&path, &saved).expect("save");
+        let mut empty = TransE::new(&mut rng, 0, 1, 4, 1.0);
+        let err =
+            load_snapshot(&path, &mut empty).expect_err("a 0-row table must not accept 3 rows");
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            matches!(err, StoreError::ShapeMismatch { ref section, .. } if section == "entities"),
+            "{err}"
+        );
+    }
 }

@@ -7,15 +7,14 @@
 //! (the "filtered" convention), bounded by a retry cap so pathological
 //! relations cannot loop forever.
 //!
-//! Models that implement the recorded-gradient pair
-//! ([`KgeModel::grad_pair`] / [`KgeModel::apply_grads`]) train through the
-//! **deterministic batched path**: each shuffled epoch is cut into
-//! fixed-size chunks, every chunk's gradients are computed against the
-//! chunk-start parameters on [`kgrec_linalg::par`] workers (one
-//! [`GradBatch`] per fixed sub-batch), and the recorded ops are applied in
-//! sub-batch index order. Sub-batch boundaries depend only on the data —
-//! never on the worker count — so parameters, losses, and every
-//! downstream metric are bit-identical at any thread count.
+//! Training is **deterministic and batched**: each shuffled epoch is cut
+//! into fixed-size chunks, every chunk's gradients are recorded through
+//! [`KgeModel::grad_pair`] against the chunk-start parameters on
+//! [`kgrec_linalg::par`] workers (one [`GradBatch`] per fixed sub-batch),
+//! and [`KgeModel::apply_grads`] replays the recorded ops in sub-batch
+//! index order. Sub-batch boundaries depend only on the data — never on
+//! the worker count — so parameters, losses, and every downstream metric
+//! are bit-identical at any thread count.
 
 use crate::checkpoint::{train_fingerprint, TrainerSnapshot};
 use crate::grad::GradBatch;
@@ -81,12 +80,10 @@ pub fn corrupt<R: Rng + ?Sized>(graph: &KnowledgeGraph, triple: Triple, rng: &mu
     Triple::new(triple.head, triple.rel, tail)
 }
 
-/// Sequential-path batch size: pairs handed to `train_batch` at a time.
-const BATCH: usize = 64;
-/// Batched-path chunk: pairs whose gradients share one frozen parameter
-/// snapshot. Larger chunks amortize the fork/join of the worker pass.
+/// Chunk: pairs whose gradients share one frozen parameter snapshot.
+/// Larger chunks amortize the fork/join of the worker pass.
 const GRAD_CHUNK: usize = 256;
-/// Batched-path sub-batch: pairs recorded into one [`GradBatch`]. Fixed —
+/// Sub-batch: pairs recorded into one [`GradBatch`]. Fixed —
 /// never derived from the worker count — so the op application order is
 /// identical at any thread count.
 const GRAD_SUB: usize = 64;
@@ -126,7 +123,8 @@ pub(crate) enum TrainControl {
 /// loss curve cover the epochs that actually run (`start_epoch..epochs`).
 ///
 /// # Panics
-/// Panics if the model is sized for fewer entities than the graph.
+/// Panics if the model is sized for fewer entities or fewer relations
+/// than the graph.
 pub(crate) fn train_with_from<M, F>(
     model: &mut M,
     graph: &KnowledgeGraph,
@@ -135,12 +133,18 @@ pub(crate) fn train_with_from<M, F>(
     mut on_epoch: F,
 ) -> Vec<f32>
 where
-    M: KgeModel,
+    M: KgeModel + ?Sized,
     F: FnMut(&mut M, &EpochStats) -> TrainControl,
 {
     assert!(
-        model.num_entities() >= graph.num_entities(),
-        "train: model sized for fewer entities than the graph"
+        model.num_entities() >= graph.num_entities()
+            && model.num_relations() >= graph.num_relations(),
+        "train: model sized for fewer entities or relations than the graph \
+         (model {}×{}, graph {}×{})",
+        model.num_entities(),
+        model.num_relations(),
+        graph.num_entities(),
+        graph.num_relations()
     );
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut order: Vec<usize> = (0..graph.num_triples()).collect();
@@ -157,21 +161,14 @@ where
         }
     }
     let mut curve = Vec::with_capacity(config.epochs.saturating_sub(start_epoch));
-    // Reusable batch buffers: corruption draws are front-loaded per chunk
-    // so the model sees a contiguous slice of pairs instead of an
-    // alternating sample/update cadence. The RNG stream is identical to
-    // the per-pair loop because training never touches the RNG, and the
-    // loss accumulation order is identical because losses are reported in
-    // pair order. Chunk size does not affect the RNG stream either — only
-    // the draw *order* matters, and that is always triple order.
-    let batched = model.supports_grad_batches();
+    // Corruption draws are front-loaded per chunk. The RNG stream is that
+    // of a per-pair loop because training never touches the RNG, and the
+    // chunk size does not change it either: only the draw *order* matters,
+    // and that is always triple order.
     let threads = par::resolve_threads(config.threads);
-    let mut pairs: Vec<(Triple, Triple)> =
-        Vec::with_capacity(if batched { GRAD_CHUNK } else { BATCH });
-    let mut losses: Vec<f32> = Vec::with_capacity(BATCH);
+    let mut pairs: Vec<(Triple, Triple)> = Vec::with_capacity(GRAD_CHUNK);
     // Free-list of gradient arenas, reused across chunks and epochs so the
-    // steady state allocates nothing (the batched-path analogue of the
-    // models' `Scratch`).
+    // steady state allocates nothing.
     let pool: Mutex<Vec<GradBatch>> = Mutex::new(Vec::new());
     for epoch in start_epoch..config.epochs {
         // Fresh shuffle per epoch.
@@ -180,52 +177,36 @@ where
             order.swap(i, j);
         }
         let mut total = 0.0f64;
-        if batched {
-            for chunk in order.chunks(GRAD_CHUNK) {
-                pairs.clear();
-                for &idx in chunk {
-                    let pos = graph.triple_at(idx);
-                    pairs.push((pos, corrupt(graph, pos, &mut rng)));
-                }
-                // Sub-batch boundaries are fixed by GRAD_SUB, independent
-                // of the worker count; par_map returns in input order.
-                let subs: Vec<&[(Triple, Triple)]> = pairs.chunks(GRAD_SUB).collect();
-                let frozen: &M = model;
-                let batches = par::par_map(&subs, threads, |_, sub| {
-                    let mut gb = pool
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .pop()
-                        .unwrap_or_default();
-                    gb.clear();
-                    for &(pos, neg) in *sub {
-                        let loss = frozen.grad_pair(pos, neg, &mut gb);
-                        gb.push_loss(loss);
-                    }
-                    gb
-                });
-                for gb in batches {
-                    model.apply_grads(&gb, config.learning_rate);
-                    for &loss in gb.losses() {
-                        total += f64::from(loss);
-                    }
-                    // kglint::allow(SA003, free-list pool; grads already applied in input order)
-                    pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(gb);
-                }
+        for chunk in order.chunks(GRAD_CHUNK) {
+            pairs.clear();
+            for &idx in chunk {
+                let pos = graph.triple_at(idx);
+                pairs.push((pos, corrupt(graph, pos, &mut rng)));
             }
-        } else {
-            for chunk in order.chunks(BATCH) {
-                pairs.clear();
-                for &idx in chunk {
-                    let pos = graph.triple_at(idx);
-                    pairs.push((pos, corrupt(graph, pos, &mut rng)));
+            // Sub-batch boundaries are fixed by GRAD_SUB, independent of
+            // the worker count; par_map returns in input order.
+            let subs: Vec<&[(Triple, Triple)]> = pairs.chunks(GRAD_SUB).collect();
+            let frozen: &M = model;
+            let batches = par::par_map(&subs, threads, |_, sub| {
+                let mut gb = pool
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .pop()
+                    .unwrap_or_default();
+                gb.clear();
+                for &(pos, neg) in *sub {
+                    let loss = frozen.grad_pair(pos, neg, &mut gb);
+                    gb.push_loss(loss);
                 }
-                losses.clear();
-                model.train_batch(&pairs, config.learning_rate, &mut losses);
-                debug_assert_eq!(losses.len(), pairs.len(), "train_batch must report every pair");
-                for &loss in &losses {
+                gb
+            });
+            for gb in batches {
+                model.apply_grads(&gb, config.learning_rate);
+                for &loss in gb.losses() {
                     total += f64::from(loss);
                 }
+                // kglint::allow(SA003, free-list pool; grads already applied in input order)
+                pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(gb);
             }
         }
         model.post_epoch();
@@ -241,7 +222,11 @@ where
 
 /// Trains `model` on every triple of `graph` for `config.epochs` epochs.
 /// Returns the mean per-pair loss of each epoch (a monitoring curve).
-pub fn train<M: KgeModel>(model: &mut M, graph: &KnowledgeGraph, config: &TrainConfig) -> Vec<f32> {
+pub fn train<M: KgeModel + ?Sized>(
+    model: &mut M,
+    graph: &KnowledgeGraph,
+    config: &TrainConfig,
+) -> Vec<f32> {
     train_with_from(model, graph, config, 0, |_, _| TrainControl::Continue)
 }
 
@@ -497,6 +482,26 @@ mod tests {
         train(&mut m, &g, &TrainConfig::default());
     }
 
+    #[test]
+    #[should_panic(expected = "model sized for fewer entities or relations")]
+    fn relation_count_mismatch_rejected_by_name() {
+        // Enough entities but too few relations: without the check a pool
+        // worker indexes past the relation table and the caller sees only
+        // "a scoped thread panicked".
+        let mut b = KgBuilder::new();
+        let ty = b.entity_type("t");
+        let es: Vec<_> = (0..4).map(|i| b.entity(&format!("e{i}"), ty)).collect();
+        for k in 0..3 {
+            let r = b.relation(&format!("r{k}"));
+            b.triple(es[k], r, es[k + 1]);
+        }
+        let g = b.build(false);
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut m = TransE::new(&mut rng, g.num_entities(), 1, 4, 1.0);
+        let cfg = TrainConfig { epochs: 1, threads: Some(2), ..TrainConfig::default() };
+        train(&mut m, &g, &cfg);
+    }
+
     /// A graph where *every* (head, rel, tail) combination is a fact, so
     /// filtered corruption always fails and the dense fallback runs.
     fn complete_graph(n: usize) -> KnowledgeGraph {
@@ -566,9 +571,10 @@ mod tests {
         assert_eq!(report.curve.len(), 20);
     }
 
-    /// Scripted-loss mock: returns `script[epoch]` from every
-    /// `train_pair` and mutates a state marker each epoch, so rollback is
-    /// observable.
+    /// Scripted-loss mock: every `grad_pair` returns `script[epoch]` and
+    /// records one tick op, and `apply_grads` replays each tick as one
+    /// pair seen, setting a state marker to the pair's epoch, so rollback
+    /// is observable.
     #[derive(Clone)]
     struct Scripted {
         script: Vec<f32>,
@@ -598,11 +604,19 @@ mod tests {
         fn relation_embedding(&self, _r: kgrec_graph::RelationId) -> &[f32] {
             &self.state
         }
-        fn train_pair(&mut self, _pos: Triple, _neg: Triple, _lr: f32) -> f32 {
+        // A chunk's losses are recorded against the chunk-start counter;
+        // the toy graph's epoch fits in one chunk, so that is the epoch.
+        fn grad_pair(&self, _pos: Triple, _neg: Triple, out: &mut GradBatch) -> f32 {
+            out.push_op(crate::grad::GradOp::NormalizeRow { table: 0, row: 0 });
             let epoch = self.pairs_seen / self.pairs_per_epoch;
-            self.pairs_seen += 1;
-            self.state[0] = epoch as f32;
             self.script[epoch.min(self.script.len() - 1)]
+        }
+        fn apply_grads(&mut self, batch: &GradBatch, _lr: f32) {
+            for _ in batch.ops() {
+                let epoch = self.pairs_seen / self.pairs_per_epoch;
+                self.pairs_seen += 1;
+                self.state[0] = epoch as f32;
+            }
         }
         fn name(&self) -> &'static str {
             "Scripted"

@@ -10,7 +10,7 @@
 use crate::grad::{GradBatch, GradOp};
 use crate::model::KgeModel;
 use kgrec_graph::{EntityId, RelationId, Triple};
-use kgrec_linalg::{vector, EmbeddingTable, Scratch};
+use kgrec_linalg::{vector, EmbeddingTable};
 use rand::Rng;
 
 /// Grad-batch table id of the entity table.
@@ -29,7 +29,6 @@ pub struct TransD {
     entity_proj: EmbeddingTable,
     relations: EmbeddingTable,
     relation_proj: EmbeddingTable,
-    scratch: Scratch,
     /// Ranking margin `γ`.
     pub margin: f32,
 }
@@ -41,7 +40,6 @@ impl Clone for TransD {
             entity_proj: self.entity_proj.clone(),
             relations: self.relations.clone(),
             relation_proj: self.relation_proj.clone(),
-            scratch: Scratch::new(),
             margin: self.margin,
         }
     }
@@ -69,7 +67,6 @@ impl TransD {
             entity_proj: EmbeddingTable::uniform(rng, num_entities, dim, 0.1),
             relations: EmbeddingTable::transe_init(rng, num_relations, dim),
             relation_proj: EmbeddingTable::uniform(rng, num_relations, dim, 0.1),
-            scratch: Scratch::new(),
             margin,
         }
     }
@@ -108,66 +105,15 @@ impl TransD {
         acc
     }
 
-    /// Gradients (with `v` the residual, `c = r_pᵀv`):
+    /// Records one triple's SGD step, `−scale·∂d/∂θ`, into `out` without
+    /// touching any parameter. Gradients (with `v` the residual,
+    /// `c = r_pᵀv`):
     /// `∂d/∂h  = 2(v + c·h_p)`,   `∂d/∂h_p = 2c·h`,
     /// `∂d/∂t  = −2(v + c·t_p)`,  `∂d/∂t_p = −2c·t`,
     /// `∂d/∂r  = 2v`,             `∂d/∂r_p = 2(a−b)·v`.
-    fn apply(&mut self, triple: Triple, scale: f32, lr: f32) {
-        let (h, r, t) = (triple.head, triple.rel, triple.tail);
-        let d = self.entities.dim();
-        let mut v = self.scratch.take(d);
-        let mut grad_h = self.scratch.take(d);
-        let mut grad_hp = self.scratch.take(d);
-        let mut grad_t = self.scratch.take(d);
-        let mut grad_tp = self.scratch.take(d);
-        let mut grad_r = self.scratch.take(d);
-        let mut grad_rp = self.scratch.take(d);
-        self.residual_into(h, r, t, &mut v);
-        {
-            let hv = self.entities.row(h.index());
-            let tv = self.entities.row(t.index());
-            let hp = self.entity_proj.row(h.index());
-            let tp = self.entity_proj.row(t.index());
-            let rp = self.relation_proj.row(r.index());
-            let a = vector::dot(hp, hv);
-            let b = vector::dot(tp, tv);
-            let c = vector::dot(rp, &v);
-            for i in 0..d {
-                grad_h[i] = 2.0 * (v[i] + c * hp[i]);
-                grad_hp[i] = 2.0 * c * hv[i];
-                grad_t[i] = -2.0 * (v[i] + c * tp[i]);
-                grad_tp[i] = -2.0 * c * tv[i];
-                grad_r[i] = 2.0 * v[i];
-                grad_rp[i] = 2.0 * (a - b) * v[i];
-            }
-        }
-
-        self.entities.add_to_row(h.index(), -lr * scale, &grad_h);
-        self.entity_proj.add_to_row(h.index(), -lr * scale, &grad_hp);
-        self.entities.add_to_row(t.index(), -lr * scale, &grad_t);
-        self.entity_proj.add_to_row(t.index(), -lr * scale, &grad_tp);
-        self.relations.add_to_row(r.index(), -lr * scale, &grad_r);
-        self.relation_proj.add_to_row(r.index(), -lr * scale, &grad_rp);
-        // Per-update constraints (‖e‖ ≤ 1, ‖r‖ ≤ 1, projectors bounded).
-        vector::project_to_ball(self.entities.row_mut(h.index()), 1.0);
-        vector::project_to_ball(self.entities.row_mut(t.index()), 1.0);
-        vector::project_to_ball(self.relations.row_mut(r.index()), 1.0);
-        vector::project_to_ball(self.entity_proj.row_mut(h.index()), 1.0);
-        vector::project_to_ball(self.entity_proj.row_mut(t.index()), 1.0);
-        vector::project_to_ball(self.relation_proj.row_mut(r.index()), 1.0);
-        self.scratch.put(v);
-        self.scratch.put(grad_h);
-        self.scratch.put(grad_hp);
-        self.scratch.put(grad_t);
-        self.scratch.put(grad_tp);
-        self.scratch.put(grad_r);
-        self.scratch.put(grad_rp);
-    }
-
-    /// Records the ops of `apply(triple, scale, lr)` into `out` without
-    /// touching any parameter: the residual is staged once, the six
-    /// gradients are written with `apply`'s exact per-element expressions,
-    /// and the six ball projections replay in the same order.
+    /// The residual is staged once, and the per-update constraints
+    /// (‖e‖ ≤ 1, ‖r‖ ≤ 1, projectors bounded) are recorded as six ball
+    /// projections after the updates.
     fn record_apply(&self, triple: Triple, scale: f32, out: &mut GradBatch) {
         let (h, r, t) = (triple.head, triple.rel, triple.tail);
         let d = self.entities.dim();
@@ -263,22 +209,6 @@ impl KgeModel for TransD {
         self.relations.row(r.index())
     }
 
-    fn train_pair(&mut self, pos: Triple, neg: Triple, lr: f32) -> f32 {
-        let loss = self.margin + self.distance(pos.head, pos.rel, pos.tail)
-            - self.distance(neg.head, neg.rel, neg.tail);
-        if loss > 0.0 {
-            self.apply(pos, 1.0, lr);
-            self.apply(neg, -1.0, lr);
-            loss
-        } else {
-            0.0
-        }
-    }
-
-    fn supports_grad_batches(&self) -> bool {
-        true
-    }
-
     fn grad_pair(&self, pos: Triple, neg: Triple, out: &mut GradBatch) -> f32 {
         let loss = self.margin + self.distance(pos.head, pos.rel, pos.tail)
             - self.distance(neg.head, neg.rel, neg.tail);
@@ -363,6 +293,7 @@ impl TransD {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::step_pair;
     use kgrec_linalg::gradcheck;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -446,7 +377,7 @@ mod tests {
         let pos = Triple::new(EntityId(0), RelationId(0), EntityId(1));
         let neg = Triple::new(EntityId(0), RelationId(0), EntityId(2));
         for _ in 0..300 {
-            m.train_pair(pos, neg, 0.02);
+            step_pair(&mut m, pos, neg, 0.02);
             m.post_epoch();
         }
         assert!(m.score(pos.head, pos.rel, pos.tail) > m.score(neg.head, neg.rel, neg.tail));

@@ -7,7 +7,7 @@
 use crate::grad::{GradBatch, GradOp};
 use crate::model::KgeModel;
 use kgrec_graph::{EntityId, RelationId, Triple};
-use kgrec_linalg::{EmbeddingTable, Scratch};
+use kgrec_linalg::EmbeddingTable;
 use rand::Rng;
 
 /// Grad-batch table id of the entity table.
@@ -20,7 +20,6 @@ const T_REL: u8 = 1;
 pub struct TransE {
     entities: EmbeddingTable,
     relations: EmbeddingTable,
-    scratch: Scratch,
     /// Ranking margin `γ`.
     pub margin: f32,
 }
@@ -30,13 +29,11 @@ impl Clone for TransE {
         Self {
             entities: self.entities.clone(),
             relations: self.relations.clone(),
-            scratch: Scratch::new(),
             margin: self.margin,
         }
     }
 
-    /// Copies parameters into the existing tables without reallocating;
-    /// the scratch arena is this model's own and is left untouched.
+    /// Copies parameters into the existing tables without reallocating.
     fn clone_from(&mut self, source: &Self) {
         self.entities.clone_from(&source.entities);
         self.relations.clone_from(&source.relations);
@@ -56,7 +53,7 @@ impl TransE {
         let entities = EmbeddingTable::transe_init(rng, num_entities, dim);
         let mut relations = EmbeddingTable::transe_init(rng, num_relations, dim);
         relations.normalize_rows();
-        Self { entities, relations, scratch: Scratch::new(), margin }
+        Self { entities, relations, margin }
     }
 
     /// Squared translation distance `‖h + r − t‖²`.
@@ -72,8 +69,8 @@ impl TransE {
         acc
     }
 
-    /// `distance_grad` into a caller-owned buffer (the allocation-free
-    /// kernel behind `apply`).
+    /// The distance gradient `g = 2(h + r − t)` into a caller-owned
+    /// buffer: `∂d/∂h = ∂d/∂r = g`, `∂d/∂t = −g`.
     fn distance_grad_into(&self, h: EntityId, r: RelationId, t: EntityId, g: &mut [f32]) {
         let hv = self.entities.row(h.index());
         let rv = self.relations.row(r.index());
@@ -83,23 +80,11 @@ impl TransE {
         }
     }
 
-    fn apply(&mut self, triple: Triple, scale: f32, lr: f32) {
-        let mut g = self.scratch.take(self.entities.dim());
-        self.distance_grad_into(triple.head, triple.rel, triple.tail, &mut g);
-        self.entities.add_to_row(triple.head.index(), -lr * scale, &g);
-        self.relations.add_to_row(triple.rel.index(), -lr * scale, &g);
-        self.entities.add_to_row(triple.tail.index(), lr * scale, &g);
-        // Per-update norm constraint, as in the original algorithm —
-        // without it the margin loss diverges on dense graphs.
-        kgrec_linalg::vector::project_to_ball(self.entities.row_mut(triple.head.index()), 1.0);
-        kgrec_linalg::vector::project_to_ball(self.entities.row_mut(triple.tail.index()), 1.0);
-        self.scratch.put(g);
-    }
-
-    /// Records the ops of `apply(triple, scale, lr)` into `out` without
+    /// Records one triple's SGD step, `−scale·∂d/∂θ`, into `out` without
     /// touching any parameter: the shared gradient `g = 2(h + r − t)` is
     /// written once and referenced by all three row updates, followed by
-    /// the same two ball projections `apply` performs.
+    /// the per-update norm constraint of the original algorithm (without
+    /// it the margin loss diverges on dense graphs).
     fn record_apply(&self, triple: Triple, scale: f32, out: &mut GradBatch) {
         let seg = out.alloc(self.entities.dim());
         self.distance_grad_into(triple.head, triple.rel, triple.tail, out.seg_mut(seg));
@@ -147,22 +132,6 @@ impl KgeModel for TransE {
 
     fn relation_embedding(&self, r: RelationId) -> &[f32] {
         self.relations.row(r.index())
-    }
-
-    fn train_pair(&mut self, pos: Triple, neg: Triple, lr: f32) -> f32 {
-        let loss = self.margin + self.distance(pos.head, pos.rel, pos.tail)
-            - self.distance(neg.head, neg.rel, neg.tail);
-        if loss > 0.0 {
-            self.apply(pos, 1.0, lr);
-            self.apply(neg, -1.0, lr);
-            loss
-        } else {
-            0.0
-        }
-    }
-
-    fn supports_grad_batches(&self) -> bool {
-        true
     }
 
     fn grad_pair(&self, pos: Triple, neg: Triple, out: &mut GradBatch) -> f32 {
@@ -252,6 +221,7 @@ impl TransE {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::step_pair;
     use kgrec_linalg::{gradcheck, vector};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -302,7 +272,7 @@ mod tests {
         let pos = Triple::new(EntityId(0), RelationId(0), EntityId(1));
         let neg = Triple::new(EntityId(0), RelationId(0), EntityId(2));
         for _ in 0..200 {
-            m.train_pair(pos, neg, 0.05);
+            step_pair(&mut m, pos, neg, 0.05);
             m.post_epoch();
         }
         assert!(
@@ -321,7 +291,8 @@ mod tests {
         m.entities.row_mut(1).copy_from_slice(&vec![0.0; d]);
         m.entities.row_mut(2).copy_from_slice(&vec![5.0; d]);
         let before = m.entities.clone();
-        let loss = m.train_pair(
+        let loss = step_pair(
+            &mut m,
             Triple::new(EntityId(0), RelationId(0), EntityId(1)),
             Triple::new(EntityId(0), RelationId(0), EntityId(2)),
             0.1,

@@ -9,7 +9,7 @@
 use crate::grad::{GradBatch, GradOp};
 use crate::model::KgeModel;
 use kgrec_graph::{EntityId, RelationId, Triple};
-use kgrec_linalg::{vector, EmbeddingTable, Scratch};
+use kgrec_linalg::{vector, EmbeddingTable};
 use rand::Rng;
 
 /// Grad-batch table id of the entity table.
@@ -25,7 +25,6 @@ pub struct TransH {
     entities: EmbeddingTable,
     translations: EmbeddingTable,
     normals: EmbeddingTable,
-    scratch: Scratch,
     /// Ranking margin `γ`.
     pub margin: f32,
 }
@@ -36,7 +35,6 @@ impl Clone for TransH {
             entities: self.entities.clone(),
             translations: self.translations.clone(),
             normals: self.normals.clone(),
-            scratch: Scratch::new(),
             margin: self.margin,
         }
     }
@@ -62,7 +60,7 @@ impl TransH {
         let translations = EmbeddingTable::transe_init(rng, num_relations, dim);
         let mut normals = EmbeddingTable::transe_init(rng, num_relations, dim);
         normals.normalize_rows();
-        Self { entities, translations, normals, scratch: Scratch::new(), margin }
+        Self { entities, translations, normals, margin }
     }
 
     /// Hyperplane distance; see module docs.
@@ -94,58 +92,15 @@ impl TransH {
         }
     }
 
-    /// Applies `−lr·scale·∂d/∂θ` to every parameter of the triple.
+    /// Records one triple's SGD step, `−scale·∂d/∂θ` on every parameter
+    /// of the triple, into `out` without touching any parameter.
     ///
     /// Derivation (with `u = h − t`, `c = wᵀu`, `v = u − c·w + d_r`):
     /// `∂d/∂h = 2(v − (wᵀv)w)`, `∂d/∂t = −∂d/∂h`, `∂d/∂d_r = 2v`,
-    /// `∂d/∂w = −2[(vᵀw)·u + (wᵀu)·v]`.
-    ///
-    /// All temporaries come from the scratch arena; the gradients are
-    /// finished while the parameter rows are only borrowed immutably, so no
-    /// row needs to be copied out first.
-    fn apply(&mut self, triple: Triple, scale: f32, lr: f32) {
-        let d = self.entities.dim();
-        let mut v = self.scratch.take(d);
-        let mut u = self.scratch.take(d);
-        let mut grad_h = self.scratch.take(d);
-        let mut grad_dr = self.scratch.take(d);
-        let mut grad_w = self.scratch.take(d);
-        self.residual_into(triple.head, triple.rel, triple.tail, &mut v);
-        {
-            let w = self.normals.row(triple.rel.index());
-            let hv = self.entities.row(triple.head.index());
-            let tv = self.entities.row(triple.tail.index());
-            let wv = vector::dot(w, &v);
-            vector::sub_into(hv, tv, &mut u);
-            let wu = vector::dot(w, &u);
-            for i in 0..d {
-                grad_h[i] = 2.0 * (v[i] - wv * w[i]);
-                grad_w[i] = -2.0 * (wv * u[i] + wu * v[i]);
-            }
-            vector::scale_assign(2.0, &v, &mut grad_dr);
-        }
-
-        self.entities.add_to_row(triple.head.index(), -lr * scale, &grad_h);
-        self.entities.add_to_row(triple.tail.index(), lr * scale, &grad_h);
-        self.translations.add_to_row(triple.rel.index(), -lr * scale, &grad_dr);
-        self.normals.add_to_row(triple.rel.index(), -lr * scale, &grad_w);
-        // Per-update constraints (‖e‖ ≤ 1, ‖w‖ = 1) keep the margin loss
-        // from diverging between epochs.
-        vector::project_to_ball(self.entities.row_mut(triple.head.index()), 1.0);
-        vector::project_to_ball(self.entities.row_mut(triple.tail.index()), 1.0);
-        vector::normalize(self.normals.row_mut(triple.rel.index()));
-        self.scratch.put(v);
-        self.scratch.put(u);
-        self.scratch.put(grad_h);
-        self.scratch.put(grad_dr);
-        self.scratch.put(grad_w);
-    }
-
-    /// Records the ops of `apply(triple, scale, lr)` into `out`. The
-    /// gradients use the same formulas as `apply` (with `u = h − t`
-    /// expanded in place instead of materialised), and the two ball
-    /// projections plus the normal renormalization replay in the same
-    /// order.
+    /// `∂d/∂w = −2[(vᵀw)·u + (wᵀu)·v]`, with `u` expanded in place
+    /// instead of materialised. The per-update constraints (‖e‖ ≤ 1,
+    /// ‖w‖ = 1) that keep the margin loss from diverging between epochs
+    /// are recorded after the updates.
     fn record_apply(&self, triple: Triple, scale: f32, out: &mut GradBatch) {
         let d = self.entities.dim();
         let seg_v = out.alloc(d);
@@ -215,22 +170,6 @@ impl KgeModel for TransH {
 
     fn relation_embedding(&self, r: RelationId) -> &[f32] {
         self.translations.row(r.index())
-    }
-
-    fn train_pair(&mut self, pos: Triple, neg: Triple, lr: f32) -> f32 {
-        let loss = self.margin + self.distance(pos.head, pos.rel, pos.tail)
-            - self.distance(neg.head, neg.rel, neg.tail);
-        if loss > 0.0 {
-            self.apply(pos, 1.0, lr);
-            self.apply(neg, -1.0, lr);
-            loss
-        } else {
-            0.0
-        }
-    }
-
-    fn supports_grad_batches(&self) -> bool {
-        true
     }
 
     fn grad_pair(&self, pos: Triple, neg: Triple, out: &mut GradBatch) -> f32 {
@@ -321,6 +260,7 @@ impl TransH {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::step_pair;
     use kgrec_linalg::gradcheck;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -389,7 +329,7 @@ mod tests {
         let pos = Triple::new(EntityId(0), RelationId(0), EntityId(1));
         let neg = Triple::new(EntityId(0), RelationId(0), EntityId(2));
         for _ in 0..300 {
-            m.train_pair(pos, neg, 0.03);
+            step_pair(&mut m, pos, neg, 0.03);
             m.post_epoch();
         }
         assert!(m.score(pos.head, pos.rel, pos.tail) > m.score(neg.head, neg.rel, neg.tail));

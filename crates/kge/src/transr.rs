@@ -8,7 +8,7 @@
 use crate::grad::{GradBatch, GradOp};
 use crate::model::KgeModel;
 use kgrec_graph::{EntityId, RelationId, Triple};
-use kgrec_linalg::{vector, EmbeddingTable, Matrix, Scratch};
+use kgrec_linalg::{vector, EmbeddingTable, Matrix};
 use rand::Rng;
 
 /// Grad-batch table id of the entity table.
@@ -24,7 +24,9 @@ pub struct TransR {
     entities: EmbeddingTable,
     relations: EmbeddingTable,
     projections: Vec<Matrix>,
-    scratch: Scratch,
+    /// Reusable op tape of [`TransR::train_pair`]; holds no state between
+    /// calls.
+    tape: GradBatch,
     /// Ranking margin `γ`.
     pub margin: f32,
 }
@@ -35,7 +37,7 @@ impl Clone for TransR {
             entities: self.entities.clone(),
             relations: self.relations.clone(),
             projections: self.projections.clone(),
-            scratch: Scratch::new(),
+            tape: GradBatch::new(),
             margin: self.margin,
         }
     }
@@ -76,7 +78,7 @@ impl TransR {
             }
             projections.push(m);
         }
-        Self { entities, relations, projections, scratch: Scratch::new(), margin }
+        Self { entities, relations, projections, tape: GradBatch::new(), margin }
     }
 
     /// Projected translation distance; see module docs.
@@ -98,55 +100,13 @@ impl TransR {
         acc
     }
 
-    /// Gradients: `∂d/∂r = 2v`, `∂d/∂h = 2Mᵀv`, `∂d/∂t = −2Mᵀv`,
-    /// `∂d/∂M = 2·v·(h−t)ᵀ`.
-    fn apply(&mut self, triple: Triple, scale: f32, lr: f32) {
-        let d_e = self.entities.dim();
-        let d_r = self.relations.dim();
-        let mut u = self.scratch.take(d_e);
-        let mut v = self.scratch.take(d_r);
-        let mut two_v = self.scratch.take(d_r);
-        let mut grad_h = self.scratch.take(d_e);
-        {
-            let hv = self.entities.row(triple.head.index());
-            let tv = self.entities.row(triple.tail.index());
-            vector::sub_into(hv, tv, &mut u);
-            let m = &self.projections[triple.rel.index()];
-            m.matvec_into(&u, &mut v);
-            vector::axpy(1.0, self.relations.row(triple.rel.index()), &mut v);
-            vector::scale_assign(2.0, &v, &mut two_v);
-            m.matvec_t_into(&two_v, &mut grad_h);
-        }
-
-        self.relations.add_to_row(triple.rel.index(), -lr * scale, &two_v);
-        self.entities.add_to_row(triple.head.index(), -lr * scale, &grad_h);
-        self.entities.add_to_row(triple.tail.index(), lr * scale, &grad_h);
-        self.projections[triple.rel.index()].rank1_update(-lr * scale * 2.0, &v, &u);
-        // Per-update constraints: the paper bounds ‖e‖, ‖r‖ and ‖M_r·e‖;
-        // bounding the Frobenius norm of M_r is the cheap sufficient
-        // stand-in for the last one.
-        vector::project_to_ball(self.entities.row_mut(triple.head.index()), 1.0);
-        vector::project_to_ball(self.entities.row_mut(triple.tail.index()), 1.0);
-        vector::project_to_ball(self.relations.row_mut(triple.rel.index()), 1.0);
-        let m = &mut self.projections[triple.rel.index()];
-        let bound = 2.0 * (m.rows() as f32).sqrt();
-        let norm = m.frobenius_norm();
-        if norm > bound {
-            let ratio = bound / norm;
-            for x in m.data_mut().iter_mut() {
-                *x *= ratio;
-            }
-        }
-        self.scratch.put(u);
-        self.scratch.put(v);
-        self.scratch.put(two_v);
-        self.scratch.put(grad_h);
-    }
-
-    /// Records the ops of `apply(triple, scale, lr)` into `out` without
-    /// touching any parameter. The residual chain `u = h − t`,
-    /// `v = M_r·u + r`, `2v`, `Mᵀ·2v` is staged through arena segments so
-    /// every recorded vector shares `apply`'s exact accumulation order.
+    /// Records one triple's SGD step, `−scale·∂d/∂θ`, into `out` without
+    /// touching any parameter. Gradients: `∂d/∂r = 2v`, `∂d/∂h = 2Mᵀv`,
+    /// `∂d/∂t = −2Mᵀv`, `∂d/∂M = 2·v·(h−t)ᵀ`. The residual chain
+    /// `u = h − t`, `v = M_r·u + r`, `2v`, `Mᵀ·2v` is staged through arena
+    /// segments. The per-update constraints follow the updates: the paper
+    /// bounds ‖e‖, ‖r‖ and ‖M_r·e‖, and bounding the Frobenius norm of
+    /// `M_r` is the cheap sufficient stand-in for the last one.
     fn record_apply(&self, triple: Triple, scale: f32, out: &mut GradBatch) {
         let d_e = self.entities.dim();
         let d_r = self.relations.dim();
@@ -194,6 +154,28 @@ impl TransR {
         out.push_op(GradOp::ClampFrobenius { table: T_PROJ, row: triple.rel.0 });
     }
 
+    /// One sequential SGD step on a (positive, negative) pair; returns the
+    /// pair's loss before the update. Unlike a trainer batch, the
+    /// negative's gradients see the parameters the positive's step left:
+    /// each triple is recorded and applied in turn. CKE and KGAT
+    /// interleave these steps with their interaction updates.
+    pub fn train_pair(&mut self, pos: Triple, neg: Triple, lr: f32) -> f32 {
+        let loss = self.margin + self.distance(pos.head, pos.rel, pos.tail)
+            - self.distance(neg.head, neg.rel, neg.tail);
+        if loss > 0.0 {
+            let mut tape = std::mem::take(&mut self.tape);
+            for (triple, scale) in [(pos, 1.0), (neg, -1.0)] {
+                tape.clear();
+                self.record_apply(triple, scale, &mut tape);
+                self.apply_grads(&tape, lr);
+            }
+            self.tape = tape;
+            loss
+        } else {
+            0.0
+        }
+    }
+
     /// Read access to the entity table.
     pub fn entities(&self) -> &EmbeddingTable {
         &self.entities
@@ -237,22 +219,6 @@ impl KgeModel for TransR {
 
     fn relation_embedding(&self, r: RelationId) -> &[f32] {
         self.relations.row(r.index())
-    }
-
-    fn train_pair(&mut self, pos: Triple, neg: Triple, lr: f32) -> f32 {
-        let loss = self.margin + self.distance(pos.head, pos.rel, pos.tail)
-            - self.distance(neg.head, neg.rel, neg.tail);
-        if loss > 0.0 {
-            self.apply(pos, 1.0, lr);
-            self.apply(neg, -1.0, lr);
-            loss
-        } else {
-            0.0
-        }
-    }
-
-    fn supports_grad_batches(&self) -> bool {
-        true
     }
 
     fn grad_pair(&self, pos: Triple, neg: Triple, out: &mut GradBatch) -> f32 {
@@ -427,5 +393,100 @@ mod tests {
             m.post_epoch();
         }
         assert!(m.score(pos.head, pos.rel, pos.tail) > m.score(neg.head, neg.rel, neg.tail));
+    }
+
+    /// The in-place step `train_pair` ran before it became a replay of
+    /// recorded ops, kept as the oracle of that replay.
+    fn reference_apply(m: &mut TransR, triple: Triple, scale: f32, lr: f32) {
+        let d_e = m.entities.dim();
+        let d_r = m.relations.dim();
+        let mut u = vec![0.0; d_e];
+        let mut v = vec![0.0; d_r];
+        let mut two_v = vec![0.0; d_r];
+        let mut grad_h = vec![0.0; d_e];
+        {
+            let hv = m.entities.row(triple.head.index());
+            let tv = m.entities.row(triple.tail.index());
+            vector::sub_into(hv, tv, &mut u);
+            let p = &m.projections[triple.rel.index()];
+            p.matvec_into(&u, &mut v);
+            vector::axpy(1.0, m.relations.row(triple.rel.index()), &mut v);
+            vector::scale_assign(2.0, &v, &mut two_v);
+            p.matvec_t_into(&two_v, &mut grad_h);
+        }
+        m.relations.add_to_row(triple.rel.index(), -lr * scale, &two_v);
+        m.entities.add_to_row(triple.head.index(), -lr * scale, &grad_h);
+        m.entities.add_to_row(triple.tail.index(), lr * scale, &grad_h);
+        m.projections[triple.rel.index()].rank1_update(-lr * scale * 2.0, &v, &u);
+        vector::project_to_ball(m.entities.row_mut(triple.head.index()), 1.0);
+        vector::project_to_ball(m.entities.row_mut(triple.tail.index()), 1.0);
+        vector::project_to_ball(m.relations.row_mut(triple.rel.index()), 1.0);
+        let p = &mut m.projections[triple.rel.index()];
+        let bound = 2.0 * (p.rows() as f32).sqrt();
+        let norm = p.frobenius_norm();
+        if norm > bound {
+            let ratio = bound / norm;
+            for x in p.data_mut().iter_mut() {
+                *x *= ratio;
+            }
+        }
+    }
+
+    fn reference_train_pair(m: &mut TransR, pos: Triple, neg: Triple, lr: f32) -> f32 {
+        let loss = m.margin + m.distance(pos.head, pos.rel, pos.tail)
+            - m.distance(neg.head, neg.rel, neg.tail);
+        if loss > 0.0 {
+            reference_apply(m, pos, 1.0, lr);
+            reference_apply(m, neg, -1.0, lr);
+            loss
+        } else {
+            0.0
+        }
+    }
+
+    fn param_bits(m: &TransR) -> Vec<u32> {
+        let projections = m.projections.iter().flat_map(Matrix::data);
+        m.entities
+            .data()
+            .iter()
+            .chain(m.relations.data())
+            .chain(projections)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn train_pair_replay_matches_in_place_reference_bitwise() {
+        for (d_e, d_r) in [(6, 6), (33, 17)] {
+            for seed in 0..8u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (n, k) = (7u32, 3u32);
+                let mut replay = TransR::new(&mut rng, n as usize, k as usize, d_e, d_r, 1.0);
+                let mut reference = replay.clone();
+                let mut steps_with_loss = 0;
+                for step in 0..200 {
+                    let pos = Triple::new(
+                        EntityId(rng.gen_range(0..n)),
+                        RelationId(rng.gen_range(0..k)),
+                        EntityId(rng.gen_range(0..n)),
+                    );
+                    let neg = Triple::new(pos.head, pos.rel, EntityId(rng.gen_range(0..n)));
+                    let lr = if step % 2 == 0 { 0.05 } else { 0.3 };
+                    let want = reference_train_pair(&mut reference, pos, neg, lr);
+                    let got = replay.train_pair(pos, neg, lr);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{d_e}x{d_r} seed {seed} step {step}"
+                    );
+                    assert!(
+                        param_bits(&replay) == param_bits(&reference),
+                        "{d_e}x{d_r} seed {seed} step {step}: parameters diverged"
+                    );
+                    steps_with_loss += usize::from(want > 0.0);
+                }
+                assert!(steps_with_loss > 0, "the margin gate never opened");
+            }
+        }
     }
 }

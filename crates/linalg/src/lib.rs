@@ -24,8 +24,6 @@
 //! * [`par`] — the deterministic worker pool ([`par::par_map`]):
 //!   index-addressed sharding with fixed-order reduction, so parallel
 //!   evaluation is bit-identical to serial at any thread count;
-//! * `scratch` — [`scratch::Scratch`], a buffer arena that keeps the
-//!   allocator off the per-triple training hot path;
 //! * [`gradcheck`] — finite-difference gradient checking used throughout the
 //!   test suites to validate every hand-derived gradient.
 //!
@@ -45,7 +43,6 @@ mod matrix;
 mod nn;
 pub mod par;
 pub mod rnn;
-mod scratch;
 pub mod simd;
 pub mod stability;
 pub mod vector;
@@ -53,5 +50,4 @@ pub mod vector;
 pub use embedding::EmbeddingTable;
 pub use matrix::Matrix;
 pub use nn::{Activation, Dense, Mlp};
-pub use scratch::Scratch;
 pub use stability::DivergencePolicy;

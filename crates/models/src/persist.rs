@@ -10,13 +10,9 @@
 use kgrec_linalg::EmbeddingTable;
 use kgrec_store::{Section, SnapshotReader, StoreError};
 
-/// Encodes an embedding table as `rows (u64) | dim (u64) | data (f32 LE)`.
+/// Encodes an embedding table in the store's table layout.
 pub(crate) fn table_section(table: &EmbeddingTable) -> Section {
-    let mut s = Section::new();
-    s.put_u64(table.len() as u64);
-    s.put_u64(table.dim() as u64);
-    s.put_f32s(table.data());
-    s
+    Section::table(table.len(), table.dim(), table.data())
 }
 
 /// Decodes a table section into `(rows, dim, data)`.
@@ -28,17 +24,7 @@ pub(crate) fn read_table(
     name: &str,
     live: &EmbeddingTable,
 ) -> Result<(usize, usize, Vec<f32>), StoreError> {
-    let mut c = reader.section(name)?;
-    let rows = c.take_u64()? as usize;
-    let dim = c.take_u64()? as usize;
-    if !live.is_empty() && (rows != live.len() || dim != live.dim()) {
-        return Err(StoreError::ShapeMismatch {
-            section: name.to_string(),
-            detail: format!("stored {rows}×{dim}, live {}×{}", live.len(), live.dim()),
-        });
-    }
-    let data = c.take_f32s(rows.saturating_mul(dim))?;
-    Ok((rows, dim, data))
+    reader.table(name, (!live.is_empty()).then(|| (live.len(), live.dim())))
 }
 
 /// Builds an embedding table of the given shape from decoded data.

@@ -1,8 +1,8 @@
 //! The per-worker request arena.
 //!
 //! Every buffer the two pipeline stages need lives here, owned by the
-//! caller (one arena per worker thread, same convention as the trainer's
-//! `kgrec_linalg::Scratch`). All buffers are sized once — at
+//! caller (one arena per worker thread, as the KGE trainer owns one
+//! gradient arena per sub-batch). All buffers are sized once — at
 //! construction or on the first request — so the request path is
 //! allocation-free afterwards; SA008 enforces the token-level half of
 //! that contract inside the stage functions themselves.

@@ -84,6 +84,19 @@ impl Section {
             self.bytes.extend_from_slice(&v.to_le_bytes());
         }
     }
+
+    /// Encodes a row-major `rows × dim` table as
+    /// `rows (u64) | dim (u64) | data (f32 LE)`, the layout every
+    /// embedding-table section shares; [`SnapshotReader::table`] decodes
+    /// it.
+    #[must_use]
+    pub fn table(rows: usize, dim: usize, data: &[f32]) -> Self {
+        let mut s = Self::new();
+        s.put_u64(rows as u64);
+        s.put_u64(dim as u64);
+        s.put_f32s(data);
+        s
+    }
 }
 
 /// Builds a snapshot: metadata plus an ordered list of named sections.
@@ -220,6 +233,35 @@ impl SnapshotReader {
             .ok_or_else(|| StoreError::MissingSection { name: name.to_string() })?;
         Ok(SectionCursor { name: &entry.name, bytes: &self.data[entry.start..entry.end], pos: 0 })
     }
+
+    /// Decodes a [`Section::table`] section into `(rows, dim, data)`.
+    ///
+    /// With `expect = Some((rows, dim))` a differently shaped stored table
+    /// is rejected before its data is read; `None` accepts any shape. The
+    /// caller owns the shape rule.
+    ///
+    /// # Errors
+    /// [`StoreError::MissingSection`], [`StoreError::ShapeMismatch`] or
+    /// [`StoreError::Truncated`].
+    pub fn table(
+        &self,
+        name: &str,
+        expect: Option<(usize, usize)>,
+    ) -> Result<(usize, usize, Vec<f32>), StoreError> {
+        let mut c = self.section(name)?;
+        let rows = c.take_u64()? as usize;
+        let dim = c.take_u64()? as usize;
+        if let Some((live_rows, live_dim)) = expect {
+            if (rows, dim) != (live_rows, live_dim) {
+                return Err(StoreError::ShapeMismatch {
+                    section: name.to_string(),
+                    detail: format!("stored {rows}×{dim}, live {live_rows}×{live_dim}"),
+                });
+            }
+        }
+        let data = c.take_f32s(rows.saturating_mul(dim))?;
+        Ok((rows, dim, data))
+    }
 }
 
 /// Sequential reader over one section's payload.
@@ -236,13 +278,12 @@ pub struct SectionCursor<'a> {
 
 impl SectionCursor<'_> {
     fn take(&mut self, n: usize) -> Result<&[u8], StoreError> {
-        if self.pos + n > self.bytes.len() {
+        let have = self.bytes.len() - self.pos;
+        if n > have {
             return Err(StoreError::Truncated {
                 detail: format!(
-                    "section `{}`: wanted {n} bytes at {}, have {}",
-                    self.name,
-                    self.pos,
-                    self.bytes.len() - self.pos
+                    "section `{}`: wanted {n} bytes at {}, have {have}",
+                    self.name, self.pos
                 ),
             });
         }
@@ -274,7 +315,9 @@ impl SectionCursor<'_> {
     /// # Errors
     /// [`StoreError::Truncated`] on underrun.
     pub fn take_f32s(&mut self, n: usize) -> Result<Vec<f32>, StoreError> {
-        let raw = self.take(n * 4)?;
+        // `n` may come from the snapshot itself: saturate, so a length no
+        // section can hold reports as truncation instead of overflowing.
+        let raw = self.take(n.saturating_mul(4))?;
         let mut out = Vec::with_capacity(n);
         for chunk in raw.chunks_exact(4) {
             out.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
@@ -494,5 +537,43 @@ mod tests {
         let mut c = r.section("hyper").expect("section");
         c.take_f32().expect("first f32");
         assert!(matches!(c.take_u64(), Err(StoreError::Truncated { .. })));
+    }
+
+    #[test]
+    fn table_section_round_trips_and_checks_an_expected_shape() {
+        let mut w = sample();
+        let data = [1.0, -0.0, 3.5, f32::MIN_POSITIVE, 5.0, 6.0];
+        w.add("table", Section::table(2, 3, &data)).expect("add");
+        let r = SnapshotReader::from_bytes(w.to_bytes()).expect("decode");
+        let mut c = r.section("table").expect("section");
+        assert_eq!((c.take_u64().expect("rows"), c.take_u64().expect("dim")), (2, 3));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&c.take_f32s(6).expect("data")), bits(&data));
+        for expect in [None, Some((2, 3))] {
+            let (rows, dim, got) = r.table("table", expect).expect("decode table");
+            assert_eq!((rows, dim, bits(&got)), (2, 3, bits(&data)));
+        }
+        for wrong in [(0, 3), (3, 2), (2, 4)] {
+            assert!(matches!(
+                r.table("table", Some(wrong)),
+                Err(StoreError::ShapeMismatch { ref section, .. }) if section == "table"
+            ));
+        }
+        assert!(matches!(r.table("hyper", None), Err(StoreError::Truncated { .. })));
+    }
+
+    #[test]
+    fn impossible_stored_length_is_truncation_not_a_panic() {
+        let mut w = sample();
+        let mut s = Section::new();
+        s.put_u64(u64::MAX);
+        s.put_u64(2);
+        s.put_f32s(&[1.0; 4]);
+        w.add("huge", s).expect("add");
+        let r = SnapshotReader::from_bytes(w.to_bytes()).expect("decode");
+        assert!(matches!(r.table("huge", None), Err(StoreError::Truncated { .. })));
+        let mut c = r.section("huge").expect("section");
+        c.take_u64().expect("rows");
+        assert!(matches!(c.take_f32s(usize::MAX / 2), Err(StoreError::Truncated { .. })));
     }
 }

@@ -49,7 +49,7 @@ fn main() {
         } else {
             cfg.clone()
         };
-        train_boxed(m.as_mut(), graph, &cfg);
+        train(m.as_mut(), graph, &cfg);
         let rep = link_prediction_par(m.as_ref(), graph, &test, threads).expect("nonempty test");
         println!(
             "{:<10} {:>8.1} {:>8.4} {:>8.4} {:>8.4}",
@@ -60,50 +60,4 @@ fn main() {
             rep.hits_at_10
         );
     }
-}
-
-fn train_boxed(m: &mut dyn KgeModel, graph: &kgrec_graph::KnowledgeGraph, cfg: &TrainConfig) {
-    // `train` is generic; re-dispatch through a small shim.
-    struct Shim<'a>(&'a mut dyn KgeModel);
-    impl KgeModel for Shim<'_> {
-        fn dim(&self) -> usize {
-            self.0.dim()
-        }
-        fn num_entities(&self) -> usize {
-            self.0.num_entities()
-        }
-        fn num_relations(&self) -> usize {
-            self.0.num_relations()
-        }
-        fn score(
-            &self,
-            h: kgrec_graph::EntityId,
-            r: kgrec_graph::RelationId,
-            t: kgrec_graph::EntityId,
-        ) -> f32 {
-            self.0.score(h, r, t)
-        }
-        fn entity_table(&self) -> &kgrec_linalg::EmbeddingTable {
-            self.0.entity_table()
-        }
-        fn relation_embedding(&self, r: kgrec_graph::RelationId) -> &[f32] {
-            self.0.relation_embedding(r)
-        }
-        fn train_pair(
-            &mut self,
-            pos: kgrec_graph::Triple,
-            neg: kgrec_graph::Triple,
-            lr: f32,
-        ) -> f32 {
-            self.0.train_pair(pos, neg, lr)
-        }
-        fn post_epoch(&mut self) {
-            self.0.post_epoch();
-        }
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-    }
-    let mut shim = Shim(m);
-    train(&mut shim, graph, cfg);
 }

@@ -21,6 +21,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== examples (each must run to completion, not only compile)"
+# clippy --all-targets above only compiles them; running them makes an
+# example that panics at runtime fail the gate.
+for example in quickstart movie_explanations news_cold_start model_zoo kge_link_prediction; do
+  cargo run --release --offline --locked --quiet -p kgrec-bench --example "$example" > /dev/null \
+    || { echo "FAIL: example $example exited non-zero"; exit 1; }
+  echo "   $example ran"
+done
+
 echo "== kgrec-linalg tests under fast-math (relaxed reductions)"
 # The relaxed `dot`/`dot8` branches are never built by the default gate;
 # `matvec_into` reaches them through `dot8`, so their contracts run here.
